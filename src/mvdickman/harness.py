@@ -10,6 +10,7 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -48,8 +49,12 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.model, dict) or "variant" not in self.model:
+        if not isinstance(self.model, dict):
             raise ConfigurationError("config needs a spectral-measure 'model' document")
+        try:
+            spectral_from_json(self.model)
+        except ValidationError as exc:
+            raise ConfigurationError(f"invalid model document: {exc}") from exc
         methods = tuple(self.methods)
         if not methods or any(m not in METHODS for m in methods):
             raise ConfigurationError(f"methods must be a nonempty subset of {METHODS}")
@@ -64,6 +69,8 @@ class ExperimentConfig:
             raise ConfigurationError("seed_replicates must be >= 1")
         if not 0 <= int(self.base_seed) < 2 ** 64:
             raise ConfigurationError("base_seed must fit in 64 bits")
+        if not (isinstance(self.gd_tol, (int, float)) and 0 < self.gd_tol < math.inf):
+            raise ConfigurationError("gd_tol must be finite and > 0")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "k_grid", k_grid)
 

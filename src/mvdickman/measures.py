@@ -14,7 +14,9 @@ All types are immutable after construction; samplers receive an explicit
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,6 +32,8 @@ SAMPLER = "sampler"
 
 _UNIT_NORM_TOL = 1e-12
 _MASS_CHECK_TOL = 1e-8
+#: how far atom probabilities may sum from 1; Generator.choice's tolerance
+_PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)
 
 
 def angle_to_direction(phi):
@@ -49,6 +53,8 @@ def _as_unit_directions(directions, dim=None):
         raise ValidationError("directions must form a (k, d) array")
     if dim is not None and s.shape[1] != dim:
         raise ValidationError(f"directions have dim {s.shape[1]}, expected {dim}")
+    if not np.isfinite(s).all():
+        raise ValidationError("directions must be finite")
     norms = np.linalg.norm(s, axis=1)
     bad = np.abs(norms - 1.0) > _UNIT_NORM_TOL
     if bad.any():
@@ -63,6 +69,51 @@ def _lock(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+class _AtomSampler:
+    """Draws of ``points[i]`` with probability ``weights[i] / total``.
+
+    Inverse-CDF sampling with a guide table, the cutpoint method of Chen &
+    Asau (1974; Devroye 1986, section III.2.4). ``p`` and its ``cdf`` are
+    computed as ``Generator.choice`` computes them, and a draw consumes the
+    same ``rng.random(n)``; the index returned is ``cdf.searchsorted(u,
+    "right")`` bit for bit, so the stream equals that of
+    ``points[rng.choice(len(p), size=n, p=p)]``. The table replaces the binary
+    search by one lookup: with M a power of two, ``floor(u * M)`` and
+    ``b / M`` are exact, and bucket b starts the search at the first cut
+    point above ``b / M``.
+    """
+
+    def __init__(self, points, weights, total):
+        p = np.asarray(weights, dtype=float) / total
+        if len(p) != len(points):
+            raise ValidationError("points and weights must have equal length")
+        if not np.isfinite(points).all():
+            raise ValidationError("atom points must be finite")
+        if not (np.isfinite(p).all() and (p >= 0).all()
+                and abs(math.fsum(p) - 1.0) <= _PROB_SUM_TOL):
+            raise ValidationError(
+                f"atom weights must be finite, >= 0 and sum to the total mass "
+                f"{total!r} within a relative {_PROB_SUM_TOL:.2g}")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.points = points
+        self.cdf = cdf
+        self.buckets = 1 << (4 * len(p) - 1).bit_length()
+        self.lo = cdf.searchsorted(np.arange(self.buckets) / self.buckets, "right")
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        cdf = self.cdf
+        u = rng.random(n)
+        idx = self.lo.take((u * self.buckets).astype(np.intp))
+        # step on only the draws whose bucket holds cut points below u: one
+        # pass over all draws, and the rest over few, however dense the atoms
+        i = np.flatnonzero(cdf.take(idx) <= u)
+        while i.size:
+            idx[i] += 1
+            i = i[cdf.take(idx[i]) <= u[i]]
+        return self.points.take(idx, axis=0)
 
 
 @dataclass(frozen=True)
@@ -141,8 +192,8 @@ class SpectralMeasure:
         """
         from scipy.special import beta as beta_fn
 
-        if a <= 0 or b <= 0:
-            raise ValidationError("beta parameters must be > 0")
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise ValidationError("beta parameters must be finite and > 0")
         if mass <= 0 or not math.isfinite(mass):
             raise ValidationError("total mass must be finite and > 0")
         norm = mass * TWO_PI ** (1.0 - a - b) / beta_fn(a, b)
@@ -204,12 +255,21 @@ class SpectralMeasure:
         if self.variant == ANGULAR and self.dim != 2:
             raise ValidationError("angular-density measures are bivariate only")
 
+    @cached_property
+    def _atom_sampler(self) -> _AtomSampler:
+        return _AtomSampler(self.directions, self.masses, self.mass)
+
     def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n unit vectors from the normalized measure sigma/theta."""
+        """Draw n unit vectors from the normalized measure sigma/theta.
+
+        Finite measures draw by inverse CDF with a guide table built once per
+        measure; the draws and the generator stream are exactly those of
+        ``directions[rng.choice(len(p), size=n, p=masses / mass)]``. The first
+        draw checks the atoms and raises ValidationError on non-finite
+        directions or masses that do not sum to ``mass``.
+        """
         if self.variant == FINITE:
-            p = self.masses / self.mass
-            idx = rng.choice(len(p), size=n, p=p)
-            return self.directions[idx]
+            return self._atom_sampler(rng, n)
         if self.variant == ANGULAR:
             if self.angle_sampler is None:
                 raise UnsupportedMeasureError(
@@ -219,7 +279,7 @@ class SpectralMeasure:
             return angle_to_direction(self.angle_sampler(rng, n))
         s = np.asarray(self.direction_sampler(rng, n), dtype=float).reshape(n, self.dim)
         norms = np.linalg.norm(s, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
+        if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):
             raise ValidationError(
                 "the attached direction sampler produced non-unit vectors")
         return s
@@ -264,6 +324,18 @@ def spectral_to_json(sigma: SpectralMeasure) -> dict:
     )
 
 
+def _number(obj, key, where, default=None) -> float:
+    """``obj[key]`` (or ``default`` when absent) as a float; ValidationError
+    naming the field when it is missing or not a number."""
+    try:
+        value = obj[key] if default is None else obj.get(key, default)
+    except (TypeError, KeyError):
+        raise ValidationError(f"{where} needs a numeric {key!r} field") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{where} field {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def spectral_from_json(doc: dict) -> SpectralMeasure:
     """Build a spectral measure from its JSON document."""
     try:
@@ -271,16 +343,19 @@ def spectral_from_json(doc: dict) -> SpectralMeasure:
     except (TypeError, KeyError):
         raise ValidationError("spectral-measure document needs a 'variant' key") from None
     if variant == "finite":
-        atoms = doc.get("atoms", [])
-        if not atoms:
+        atoms = doc.get("atoms")
+        if not isinstance(atoms, (list, tuple)) or not atoms:
             raise ValidationError("finite spectral measure needs a nonempty 'atoms' list")
-        angles = [a["angle"] for a in atoms]
-        masses = [a["mass"] for a in atoms]
-        if int(doc.get("dim", 2)) != 2:
+        angles = [_number(a, "angle", f"atom {i}") for i, a in enumerate(atoms)]
+        masses = [_number(a, "mass", f"atom {i}") for i, a in enumerate(atoms)]
+        if _number(doc, "dim", "finite spectral measure", 2) != 2:
             raise ValidationError("JSON finite measures are bivariate (angles)")
         return SpectralMeasure.from_angles(angles, masses)
     if variant == "beta":
-        return SpectralMeasure.beta(doc["alpha"], doc["beta"], doc.get("mass", 1.0))
+        where = "beta spectral measure"
+        return SpectralMeasure.beta(_number(doc, "alpha", where),
+                                    _number(doc, "beta", where),
+                                    _number(doc, "mass", where, 1.0))
     raise ValidationError(f"unknown spectral-measure variant {variant!r}")
 
 
@@ -338,19 +413,13 @@ class BDLM:
         """Finite-support nu = sum_j w_j * delta_{y_j} (y_j need not be unit)."""
         y = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(weights, dtype=float).reshape(-1)
-        if y.shape[0] != len(w):
-            raise ValidationError("points and weights must have equal length")
         if not np.all(w > 0):
             raise ValidationError("every weight must be > 0")
         theta = float(w.sum())
         y = _lock(y)
         w = _lock(w)
-
-        def base_sampler(rng, n, _y=y, _p=w / theta):
-            idx = rng.choice(len(_p), size=n, p=_p)
-            return _y[idx]
-
-        return cls(theta=theta, dim=y.shape[1], base_sampler=base_sampler,
+        return cls(theta=theta, dim=y.shape[1],
+                   base_sampler=_AtomSampler(y, w, theta),
                    log_moment_alpha=log_moment_alpha, points=y, weights=w)
 
     @classmethod

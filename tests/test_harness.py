@@ -58,6 +58,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             small_config(methods=("SN", "XX"))
 
+    @pytest.mark.parametrize("model", [
+        {"variant": "nope"},
+        {"variant": "beta", "alpha": 2.0},
+        {"variant": "finite", "atoms": [{"angle": 0.0, "mass": "x"}]},
+    ])
+    def test_model_parsed_up_front(self, model):
+        with pytest.raises(ConfigurationError, match="model"):
+            small_config(model=model)
+
+    @pytest.mark.parametrize("gd_tol", [0.0, -1e-12, float("nan"), float("inf"), "1e-12"])
+    def test_gd_tol_validated(self, gd_tol):
+        with pytest.raises(ConfigurationError, match="gd_tol"):
+            small_config(gd_tol=gd_tol)
+
     def test_json_round_trip(self):
         config = small_config()
         back = mv.ExperimentConfig.from_json(config.to_json())

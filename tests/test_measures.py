@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvdickman as mv
 from mvdickman.errors import UnsupportedMeasureError, ValidationError
@@ -72,6 +74,36 @@ class TestSpectralMeasure:
         with pytest.raises(ValidationError):
             mv.SpectralMeasure.beta(1.0, 1.0, mass=-1.0)
 
+    @pytest.mark.parametrize("a, b", [(np.nan, 2.0), (2.0, np.nan), (np.inf, 2.0),
+                                      (2.0, np.inf)])
+    def test_beta_rejects_non_finite_params(self, a, b):
+        with pytest.raises(ValidationError, match="finite"):
+            mv.SpectralMeasure.beta(a, b)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_atoms(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            mv.SpectralMeasure.from_angles([bad, 0.0], [1.0, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            mv.SpectralMeasure.finite([[bad, 0.0], [1.0, 0.0]], [1.0, 1.0])
+
+    def test_sampler_rejects_non_finite_directions(self):
+        sigma = mv.SpectralMeasure.from_sampler(
+            1.0, 2, lambda r, n: np.full((n, 2), np.nan))
+        with pytest.raises(ValidationError, match="non-unit"):
+            sigma.sample_directions(np.random.default_rng(0), 3)
+
+    @pytest.mark.parametrize("directions, mass", [([[np.nan, 0.0]], 1.0),
+                                                  ([[1.0, 0.0]], 2.0)])
+    def test_draw_rechecks_raw_constructed_measure(self, directions, mass):
+        # masses that do not sum to `mass` are the case Generator.choice rejected
+        bad = mv.SpectralMeasure(variant="finite", dim=2, mass=mass,
+                                 directions=np.array(directions),
+                                 masses=np.array([1.0]))
+        with pytest.raises(ValidationError):
+            bad.sample_directions(np.random.default_rng(0), 3)
+
     def test_sampled_directions_unit_norm(self):
         rng = np.random.default_rng(11)
         for sigma in (mv.SpectralMeasure.beta(2.0, 5.0),
@@ -93,6 +125,72 @@ class TestSpectralMeasure:
         sigma = mv.SpectralMeasure.angular(density)
         with pytest.raises(UnsupportedMeasureError):
             sigma.sample_directions(np.random.default_rng(0), 10)
+
+
+# Finite draws must equal Generator.choice + gather bit for bit, generator
+# state included: masses span 1e-18..1, so the cdf has ties (masses below
+# its ulp) and buckets crowded with cut points.
+_atom_masses = st.lists(st.floats(-18.0, 0.0), min_size=1, max_size=500).map(
+    lambda exps: 10.0 ** np.array(exps))
+_draw_counts = st.sampled_from([0, 1, 20_000])
+
+
+def _choice_draws(points, p, seed, n):
+    rng = np.random.default_rng(seed)
+    return points[rng.choice(len(p), size=n, p=p)], rng.bit_generator.state
+
+
+@settings(deadline=None, max_examples=60)
+@given(masses=_atom_masses, n=_draw_counts, seed=st.integers(0, 2 ** 32 - 1))
+def test_finite_draws_equal_generator_choice(masses, n, seed):
+    angles = np.random.default_rng(seed).random(len(masses)) * 2 * np.pi
+    sigma = mv.SpectralMeasure.from_angles(angles, masses)
+    expected, state = _choice_draws(sigma.directions, sigma.masses / sigma.mass, seed, n)
+    rng = np.random.default_rng(seed)
+    got = sigma.sample_directions(rng, n)
+    np.testing.assert_array_equal(got, expected)
+    assert rng.bit_generator.state == state
+
+
+@settings(deadline=None, max_examples=60)
+@given(masses=_atom_masses, n=_draw_counts, seed=st.integers(0, 2 ** 32 - 1),
+       dim=st.integers(1, 3))
+def test_bdlm_atom_draws_equal_generator_choice(masses, n, seed, dim):
+    points = np.random.default_rng(seed).standard_normal((len(masses), dim))
+    bd = mv.BDLM.from_atoms(points, masses)
+    expected, state = _choice_draws(points, bd.weights / bd.theta, seed, n)
+    rng = np.random.default_rng(seed)
+    got = bd.base_sampler(rng, n)
+    np.testing.assert_array_equal(got, expected)
+    assert rng.bit_generator.state == state
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random(n)`` returns given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("masses", [
+    [0.5, 1e-17, 1e-17, 0.25, 1e-3, 0.249, 1e-9],
+    [0.5, 0.25, 0.125, 0.125],  # every cut point is a bucket edge
+])
+def test_finite_draws_at_cut_points_and_bucket_edges(masses):
+    # uniforms exactly on, and one ulp either side of, every cut point and
+    # every j/m (m <= 64), where an off-by-one in the table would show
+    sigma = mv.SpectralMeasure.from_angles(np.linspace(0.0, 6.0, len(masses)), masses)
+    cdf = (sigma.masses / sigma.mass).cumsum()
+    cdf /= cdf[-1]
+    marks = np.concatenate([cdf] + [np.arange(m) / m for m in range(1, 65)])
+    u = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = sigma.sample_directions(_FixedUniforms(u), len(u))
+    np.testing.assert_array_equal(got, sigma.directions[cdf.searchsorted(u, "right")])
 
 
 def _sphere_sampler(rng, n, d):
@@ -120,6 +218,20 @@ class TestJson:
     def test_unknown_variant(self):
         with pytest.raises(ValidationError):
             mv.spectral_from_json({"variant": "mystery"})
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"variant": "finite", "atoms": [{"mass": 1.0}]}, "angle"),
+        ({"variant": "finite", "atoms": [{"angle": 0.0}]}, "mass"),
+        ({"variant": "finite", "atoms": [{"angle": 0.0, "mass": "1.0"}]}, "mass"),
+        ({"variant": "finite", "atoms": ["atom"]}, "angle"),
+        ({"variant": "beta", "beta": 5.0}, "alpha"),
+        ({"variant": "beta", "alpha": 2.0}, "beta"),
+        ({"variant": "beta", "alpha": 2.0, "beta": None}, "beta"),
+        ({"variant": "beta", "alpha": 2.0, "beta": 5.0, "mass": "one"}, "mass"),
+    ])
+    def test_malformed_document_names_field(self, doc, field):
+        with pytest.raises(ValidationError, match=f"'{field}'"):
+            mv.spectral_from_json(doc)
 
     def test_sampler_backed_not_serializable(self):
         sigma = mv.SpectralMeasure.from_sampler(
