@@ -10,10 +10,9 @@ from .moments import (MomentSummary, beta_spectral_moments, lstar_moments,
                       malpha_radial_moment, malpha_tail_mass, md_moments)
 from .discretize import DiscretizationGrid, default_grid, discretize_angular
 from .samplers import (LevyPathSkeleton, SampleBatch, fixed_point_map,
-                       gd_truncation_terms, generate_batch, sample_ds,
-                       sample_ds_batch, sample_gd, sample_gd_batch,
-                       sample_levy_path, sample_sn, sample_sn_batch,
-                       sample_ta, sample_ta_batch, ta_term_count)
+                       gd_truncation_terms, generate_batch, sample_ds_batch,
+                       sample_gd_batch, sample_levy_path, sample_sn_batch,
+                       sample_ta_batch, ta_term_count)
 from .stats import (ErrorReport, FixedPointReport, empirical_moments,
                     error_metric, estimate_mc_floor, fixed_point_test)
 from .harness import (CSV_HEADER, DEFAULT_K_GRID, ExperimentConfig,
@@ -32,9 +31,9 @@ __all__ = [
     "lstar_moments", "md_moments", "beta_spectral_moments",
     "malpha_tail_mass", "malpha_radial_moment",
     "default_grid", "discretize_angular",
-    "sample_gd", "sample_gd_batch", "sample_sn", "sample_sn_batch",
-    "sample_levy_path", "sample_ta", "sample_ta_batch", "ta_term_count",
-    "sample_ds", "sample_ds_batch", "fixed_point_map", "gd_truncation_terms",
+    "sample_gd_batch", "sample_sn_batch", "sample_levy_path",
+    "sample_ta_batch", "ta_term_count", "sample_ds_batch", "fixed_point_map",
+    "gd_truncation_terms",
     "generate_batch",
     "empirical_moments", "error_metric", "estimate_mc_floor",
     "fixed_point_test",

@@ -13,16 +13,12 @@ import sys
 from pathlib import Path
 
 from .discretize import default_grid, discretize_angular
-from .harness import (emit_plot_data, experiment_from_file, rows_to_csv,
-                      run_experiment)
+from .harness import (_fmt, emit_plot_data, experiment_from_file,
+                      rows_to_csv, run_experiment)
 from .measures import spectral_from_json, spectral_to_json
 from .moments import md_moments
 from .samplers import generate_batch
 from .verify import run_verification
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def _load_model(path) -> dict:

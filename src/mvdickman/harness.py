@@ -18,15 +18,19 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, UnsupportedMeasureError, ValidationError
-from .measures import model_label, spectral_from_json
+from .measures import FINITE, model_label, spectral_from_json
 from .moments import md_moments
-from .samplers import generate_batch
+from .samplers import generate_batch, gd_truncation_terms, ta_term_count
 from .stats import empirical_moments, error_metric
 
 METHODS = ("SN", "TA", "DS")
 
 #: log-ish thinning of a 1..200 sweep; keeps a full sweep at desk scale
 DEFAULT_K_GRID = (1, 2, 5, 10, 20, 50, 100, 150, 200)
+
+#: most replication-terms (series terms x n_reps) one cell may need: under
+#: half an hour at the 30-170 ns a replication-term takes on a 2-core x86 VM
+MAX_CELL_WORK = 10 ** 10
 
 CSV_COLUMNS = ("model", "method", "k", "n_reps", "seed", "e_k",
                "xbar1", "xbar2", "s1sq", "s2sq", "s12",
@@ -52,7 +56,7 @@ class ExperimentConfig:
         if not isinstance(self.model, dict):
             raise ConfigurationError("config needs a spectral-measure 'model' document")
         try:
-            spectral_from_json(self.model)
+            sigma = spectral_from_json(self.model)
         except ValidationError as exc:
             raise ConfigurationError(f"invalid model document: {exc}") from exc
         methods = tuple(self.methods)
@@ -71,6 +75,18 @@ class ExperimentConfig:
             raise ConfigurationError("base_seed must fit in 64 bits")
         if not (isinstance(self.gd_tol, (int, float)) and 0 < self.gd_tol < math.inf):
             raise ConfigurationError("gd_tol must be finite and > 0")
+        # series terms per replication in the largest cell of each method; for DS
+        # on an angular model an upper bound, as k atoms have mass <= theta each
+        # and the GD term count grows with the mass
+        k = k_grid[-1]
+        ds = (sum(gd_truncation_terms(a, self.gd_tol) for a in sigma.masses)
+              if sigma.variant == FINITE else k * gd_truncation_terms(sigma.mass, self.gd_tol))
+        cell_terms = {"SN": k, "TA": ta_term_count(1.0, sigma.mass, k), "DS": ds}
+        terms = max(cell_terms[m] for m in methods)
+        if terms * self.n_reps > MAX_CELL_WORK:
+            raise ConfigurationError(
+                f"the largest cell needs {terms} terms x {self.n_reps} replications, "
+                f"over the budget of {MAX_CELL_WORK:.0e}")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "k_grid", k_grid)
 

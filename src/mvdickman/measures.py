@@ -32,7 +32,8 @@ SAMPLER = "sampler"
 
 _UNIT_NORM_TOL = 1e-12
 _MASS_CHECK_TOL = 1e-8
-#: how far atom probabilities may sum from 1; Generator.choice's tolerance
+#: how far atom probabilities may sum from 1, and atom masses from the total
+#: mass (relatively); Generator.choice's tolerance
 _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)
 
 
@@ -158,6 +159,9 @@ class SpectralMeasure:
     @classmethod
     def from_angles(cls, angles, masses) -> "SpectralMeasure":
         """Finite-support bivariate measure with atoms given by angles."""
+        angles = np.asarray(angles, dtype=float)
+        if not np.isfinite(angles).all():
+            raise ValidationError("atom angles must be finite")
         return cls.finite(angle_to_direction(angles), masses)
 
     @classmethod
@@ -252,6 +256,9 @@ class SpectralMeasure:
             _as_unit_directions(self.directions, self.dim)
             if not np.all(self.masses > 0):
                 raise ValidationError("every atom mass a_i must be > 0")
+            if not abs(math.fsum(self.masses) - self.mass) <= _PROB_SUM_TOL * self.mass:
+                raise ValidationError(f"total mass {self.mass!r} is not the sum of "
+                                      f"the atom masses within {_PROB_SUM_TOL:.2g}")
         if self.variant == ANGULAR and self.dim != 2:
             raise ValidationError("angular-density measures are bivariate only")
 

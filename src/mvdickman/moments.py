@@ -273,17 +273,9 @@ def malpha_radial_moment(params: LStarParams, p: float, region: str) -> float:
     return math.inf if not math.isfinite(val) else val
 
 
-def md_moments_from_params(params: LStarParams) -> MomentSummary:
-    """Moments of an MD law given as L* parameters (consistency helper)."""
-    if params.bdlm.spectral is None:
-        raise UnsupportedMeasureError("parameters do not carry a spectral measure")
-    return md_moments(params.bdlm.spectral)
-
-
 __all__ = [
     "MomentSummary", "INSIDE", "OUTSIDE",
     "integrate_angular", "bdlm_integrals",
     "lstar_moments", "md_moments", "beta_spectral_moments",
-    "malpha_tail_mass", "malpha_radial_moment", "md_moments_from_params",
-    "md_from_spectral",
+    "malpha_tail_mass", "malpha_radial_moment", "md_from_spectral",
 ]

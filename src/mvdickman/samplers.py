@@ -10,13 +10,18 @@ Three routes are implemented:
 Every sampler is pure given a ``numpy.random.Generator``; batch variants
 vectorize over replications with O(n_reps * d) working memory.
 
+SN, TA and the generalized Dickman (GD) draws behind DS sum one weighted
+series sum_i w_i Y_i in the private kernel ``_series``; only the weights
+(``_sn_weights``, ``_ta_weights``) and the summands Y_i differ.
+
 Normalization note: the shot-noise weights used here are
 ``exp(-(alpha * Gamma_i / (T * theta))^(1/alpha))`` with unit-rate arrival
 epochs Gamma_i. This normalization makes the series marginal carry the Levy
-measure M_alpha of L*_alpha(nu, gamma) for every alpha (the alpha-free weight
-is equivalent to it only at alpha = 1, where both reduce to products of
-uniforms). Likewise the TA term count is ``floor(c * n^alpha / alpha)`` so
-that the array converges to L*_alpha(c * nu0, 0).
+measure M_alpha of L*_alpha(nu, gamma) for every alpha. At alpha = 1 they
+are drawn as running products of uniforms raised to 1/(T*theta): the same
+law without exponentials, and faster. Likewise the TA term count is
+``floor(c * n^alpha / alpha)`` so that the array converges to
+L*_alpha(c * nu0, 0).
 
 There is no separate sampler for the stochastic-integral representation of
 these laws: with a finite BDLM the driving process is compound Poisson plus
@@ -27,6 +32,7 @@ drift part contributes gamma).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -140,21 +146,63 @@ def sample_gd_batch(theta: float, tol: float, n: int, rng: np.random.Generator) 
 
     Returns sum_{i=1..k} (U_1 ... U_i)^(1/theta) with k from
     ``gd_truncation_terms``, so the expected absolute truncation error is at
-    most ``tol``.
+    most ``tol``: the alpha = 1 shot-noise series of a unit point mass.
     """
-    k = gd_truncation_terms(theta, tol)
-    out = np.zeros(n)
-    w = np.ones(n)
-    inv_theta = 1.0 / theta
-    for _ in range(k):
-        w = w * rng.random(n) ** inv_theta
-        out += w
+    return _series(_sn_weights(1.0, theta, n, rng), gd_truncation_terms(theta, tol),
+                   None, rng, np.zeros(n))
+
+
+# --------------------------------------------------------------------------
+# the weighted series shared by SN, TA and GD
+# --------------------------------------------------------------------------
+
+def _series(weights, terms, draw, rng, out):
+    """Add the first ``terms`` terms w_i * Y_i to ``out`` and return it: w_i
+    from the ``weights`` generator, then Y_i = ``draw(rng, n)``, or 1 with
+    ``draw`` None. Y_i is only read, as a sampler may return a shared array."""
+    buf = None if draw is None else np.empty_like(out)
+    for w in itertools.islice(weights, terms):
+        if draw is None:
+            out += w
+        else:
+            out += np.multiply(w[:, None], draw(rng, len(w)), out=buf)
     return out
 
 
-def sample_gd(theta: float, tol: float, rng: np.random.Generator) -> float:
-    """One draw from the generalized Dickman distribution GD(theta)."""
-    return float(sample_gd_batch(theta, tol, 1, rng)[0])
+def _epoch_weights(g, alpha, t_theta, out):
+    """Shot-noise weights exp(-(alpha * g / t_theta)^(1/alpha)) at epochs g."""
+    np.multiply(g, alpha / t_theta, out=out)
+    out **= 1.0 / alpha
+    return np.exp(np.negative(out, out=out), out=out)
+
+
+def _sn_weights(alpha, t_theta, n, rng):
+    """Yield the shot-noise weights of terms 1, 2, ..., in one (n,) buffer.
+    At alpha = 1, exp(-Gamma_i / t_theta) is drawn as a running product of
+    U^(1/t_theta), the same law without exponentials."""
+    w, u = np.ones(n), np.empty(n)
+    if alpha == 1.0:
+        while True:
+            rng.random(out=u)
+            u **= 1.0 / t_theta
+            w *= u
+            yield w
+    g = np.zeros(n)
+    while True:
+        g += rng.standard_exponential(out=u)
+        yield _epoch_weights(g, alpha, t_theta, w)
+
+
+def _ta_weights(alpha, npow, n, rng):
+    """Yield the triangular-array weights (1 - V^(1/alpha))^npow, V uniform,
+    of each term in one (n,) buffer."""
+    w = np.empty(n)
+    while True:
+        rng.random(out=w)
+        w **= 1.0 / alpha
+        np.subtract(1.0, w, out=w)
+        w **= npow
+        yield w
 
 
 # --------------------------------------------------------------------------
@@ -166,9 +214,7 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
     """n draws of the k-term shot-noise partial sum for L*_alpha(T*nu, T*gamma).
 
     gamma*T + sum_{i=1..k} w_i Y_i with Y_i ~ nu_1 and weights
-    w_i = exp(-(alpha*Gamma_i/(T*theta))^(1/alpha)); for alpha = 1 the weights
-    are generated as running products of uniforms raised to 1/(T*theta),
-    which is the same law expressed without exponentials.
+    w_i = exp(-(alpha*Gamma_i/(T*theta))^(1/alpha)).
 
     k = 0 returns the drift alone (degenerate but convenient for sweeps).
     """
@@ -176,33 +222,9 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
         raise ValidationError("k must be >= 0")
     if T <= 0:
         raise ValidationError("T must be > 0")
-    bdlm = params.bdlm
-    alpha = params.alpha
-    t_theta = T * bdlm.theta
-    out = np.tile(T * params.gamma, (n, 1))
-    if k == 0:
-        return out
-    if alpha == 1.0:
-        w = np.ones(n)
-        inv = 1.0 / t_theta
-        for _ in range(k):
-            w = w * rng.random(n) ** inv
-            y = bdlm.base_sampler(rng, n)
-            out += w[:, None] * y
-    else:
-        g = np.zeros(n)
-        inv_alpha = 1.0 / alpha
-        for _ in range(k):
-            g += rng.standard_exponential(n)
-            w = np.exp(-((alpha / t_theta) * g) ** inv_alpha)
-            y = bdlm.base_sampler(rng, n)
-            out += w[:, None] * y
-    return out
-
-
-def sample_sn(params: LStarParams, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the k-term shot-noise approximation to L*_alpha(nu, gamma)."""
-    return sample_sn_batch(params, k, 1, rng)[0]
+    weights = _sn_weights(params.alpha, T * params.bdlm.theta, n, rng)
+    return _series(weights, k, params.bdlm.base_sampler, rng,
+                   np.tile(T * params.gamma, (n, 1)))
 
 
 def sample_levy_path(params: LStarParams, T: float, k: int,
@@ -218,15 +240,10 @@ def sample_levy_path(params: LStarParams, T: float, k: int,
     if k < 0:
         raise ValidationError("k must be >= 0")
     bdlm = params.bdlm
-    alpha = params.alpha
-    d = bdlm.dim
     if k == 0:
-        return LevyPathSkeleton(T, params.gamma, np.empty(0), np.empty((0, d)))
-    if alpha == 1.0:
-        w = np.cumprod(rng.random(k)) ** (1.0 / (T * bdlm.theta))
-    else:
-        g = np.cumsum(rng.standard_exponential(k))
-        w = np.exp(-((alpha / (T * bdlm.theta)) * g) ** (1.0 / alpha))
+        return LevyPathSkeleton(T, params.gamma, np.empty(0), np.empty((0, bdlm.dim)))
+    g = np.cumsum(rng.standard_exponential(k))
+    w = _epoch_weights(g, params.alpha, T * bdlm.theta, g)
     y = bdlm.base_sampler(rng, k)
     times = T * rng.random(k)
     order = np.argsort(times, kind="stable")
@@ -261,23 +278,13 @@ def sample_ta_batch(alpha: float, nu0_sampler, c: float, n: int, n_reps: int,
     n : sharpness of the power weights (the tuning parameter)
     """
     terms = ta_term_count(alpha, c, n)
-    probe = np.atleast_2d(np.asarray(nu0_sampler(rng, 1), dtype=float))
-    d = probe.shape[1]
-    out = np.zeros((n_reps, d))
-    inv_alpha = 1.0 / alpha
-    npow = float(n)
-    for _ in range(terms):
-        x = 1.0 - rng.random(n_reps) ** inv_alpha
-        w = x ** npow
-        t = np.asarray(nu0_sampler(rng, n_reps), dtype=float).reshape(n_reps, d)
-        out += w[:, None] * t
-    return out
+    d = np.atleast_2d(np.asarray(nu0_sampler(rng, 1), dtype=float)).shape[1]  # probe draw
 
+    def draw(rng, m):
+        return np.asarray(nu0_sampler(rng, m), dtype=float).reshape(m, d)
 
-def sample_ta(alpha: float, nu0_sampler, c: float, n: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """One triangular-array draw approximating L*_alpha(c * nu0, 0)."""
-    return sample_ta_batch(alpha, nu0_sampler, c, n, 1, rng)[0]
+    return _series(_ta_weights(alpha, float(n), n_reps, rng), terms, draw, rng,
+                   np.zeros((n_reps, d)))
 
 
 # --------------------------------------------------------------------------
@@ -300,12 +307,6 @@ def sample_ds_batch(sigma_k: SpectralMeasure, gd_tol: float, n_reps: int,
         y = sample_gd_batch(float(a_i), gd_tol, n_reps, rng)
         out += y[:, None] * s_i
     return out
-
-
-def sample_ds(sigma_k: SpectralMeasure, gd_tol: float,
-              rng: np.random.Generator) -> np.ndarray:
-    """One draw from MD(sigma_k), sigma_k with finite support."""
-    return sample_ds_batch(sigma_k, gd_tol, 1, rng)[0]
 
 
 # --------------------------------------------------------------------------

@@ -93,17 +93,7 @@ def estimate_mc_floor(batch) -> float:
     data = _as_data(batch)
     if data.shape[1] != 2:
         raise ValidationError("mc floor estimate is defined for d=2 batches")
-    n = data.shape[0]
-    xc = data - data.mean(axis=0)
-    s2 = (xc ** 2).sum(axis=0) / (n - 1)
-    s12 = (xc[:, 0] * xc[:, 1]).sum() / (n - 1)
-    m4 = (xc ** 4).mean(axis=0)
-    m22 = (xc[:, 0] ** 2 * xc[:, 1] ** 2).mean()
-    total = (s2[0] + s2[1]
-             + max(m4[0] - s2[0] ** 2, 0.0)
-             + max(m4[1] - s2[1] ** 2, 0.0)
-             + max(m22 - s12 ** 2, 0.0)) / n
-    return float(math.sqrt(total))
+    return math.sqrt(sum(_moment_se_pieces(data).values()))
 
 
 # --------------------------------------------------------------------------

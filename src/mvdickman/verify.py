@@ -17,7 +17,7 @@ from .harness import ExperimentConfig, rows_to_csv, run_experiment, substream_se
 from .measures import SpectralMeasure, evenly_spaced_spectral, md_from_spectral
 from .moments import (beta_spectral_moments, lstar_moments, malpha_tail_mass,
                       md_moments)
-from .samplers import sample_gd_batch, sample_sn_batch
+from .samplers import sample_ds_batch, sample_gd_batch, sample_sn_batch
 from .stats import empirical_moments, fixed_point_test
 
 
@@ -57,10 +57,7 @@ def _check_sn_ds_agreement(seed, n):
     sigma = evenly_spaced_spectral(50)
     params = md_from_spectral(sigma)
     x_sn = sample_sn_batch(params, 200, n, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed + 1)
-    from .samplers import sample_ds_batch
-
-    x_ds = sample_ds_batch(sigma, 1e-12, n, rng)
+    x_ds = sample_ds_batch(sigma, 1e-12, n, np.random.default_rng(seed + 1))
     m_sn, m_ds = empirical_moments(x_sn), empirical_moments(x_ds)
     z = np.max(np.abs(m_sn.mean - m_ds.mean)) / math.sqrt(2 * 0.5 / n)
     return z < 5.0, f"max mean z-score = {z:.2f}"

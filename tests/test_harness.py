@@ -10,6 +10,7 @@ from mvdickman.errors import ConfigurationError, ValidationError
 from mvdickman.harness import CSV_COLUMNS, _plan_cells, run_cell
 
 BETA11 = {"variant": "beta", "alpha": 1.0, "beta": 1.0, "mass": 1.0}
+BETA25 = {"variant": "beta", "alpha": 2.0, "beta": 5.0}
 
 
 def small_config(**kw):
@@ -71,6 +72,20 @@ class TestExperimentConfig:
     def test_gd_tol_validated(self, gd_tol):
         with pytest.raises(ConfigurationError, match="gd_tol"):
             small_config(gd_tol=gd_tol)
+
+    @pytest.mark.parametrize("change", [
+        {"k_grid": (10 ** 9,)},
+        {"k_grid": (1, 10 ** 9), "methods": ("TA",)},
+        {"model": {"variant": "finite", "atoms": [{"angle": 0.0, "mass": 1e8}]},
+         "methods": ("DS",)},
+    ])
+    def test_work_budget(self, change):
+        with pytest.raises(ConfigurationError, match="budget"):
+            mv.ExperimentConfig(**{"model": BETA25, **change})
+
+    def test_paper_sweep_within_budget(self):
+        config = mv.ExperimentConfig(model=BETA25)
+        assert (config.n_reps, config.k_grid) == (160_000, mv.DEFAULT_K_GRID)
 
     def test_json_round_trip(self):
         config = small_config()

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -80,11 +81,13 @@ class TestSpectralMeasure:
         with pytest.raises(ValidationError, match="finite"):
             mv.SpectralMeasure.beta(a, b)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_atoms(self, bad):
-        with pytest.raises(ValidationError, match="finite"):
-            mv.SpectralMeasure.from_angles([bad, 0.0], [1.0, 1.0])
+        # angles are rejected before `% 2pi`, which warns on +-inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="angles must be finite"):
+                mv.SpectralMeasure.from_angles([bad, 0.0], [1.0, 1.0])
         with pytest.raises(ValidationError, match="finite"):
             mv.SpectralMeasure.finite([[bad, 0.0], [1.0, 0.0]], [1.0, 1.0])
 
@@ -299,6 +302,16 @@ class TestMdFromSpectral:
         bd = mv.BDLM.from_atoms([[1.0]], [1.0])
         with pytest.raises(ValidationError):
             mv.LStarParams(alpha=1.0, bdlm=bd, gamma=[0.0, 0.0])
+
+    def test_rejects_mass_not_summing_atoms(self):
+        # one unit atom declared with total mass 2: theta and the atoms disagree
+        bad = mv.SpectralMeasure(variant="finite", dim=2, mass=2.0,
+                                 directions=np.array([[1.0, 0.0]]),
+                                 masses=np.array([1.0]))
+        with pytest.raises(ValidationError, match="sum of the atom masses"):
+            mv.md_moments(bad)
+        with pytest.raises(ValidationError, match="sum of the atom masses"):
+            mv.md_from_spectral(bad)
 
     def test_revalidates_raw_constructed_measure(self):
         bad = mv.SpectralMeasure(variant="finite", dim=2, mass=1.0,

@@ -50,7 +50,8 @@ class TestSampleGd:
         assert np.all(mv.sample_gd_batch(0.5, 1e-10, 10_000, rng) >= 0.0)
 
     def test_scalar_draw(self):
-        assert isinstance(mv.sample_gd(1.0, 1e-12, np.random.default_rng(0)), float)
+        x = mv.sample_gd_batch(1.0, 1e-12, 1, np.random.default_rng(0))
+        assert x.shape == (1,) and x.dtype == float
 
 
 class TestSampleSn:
@@ -97,7 +98,7 @@ class TestSampleSn:
 
     def test_single_draw_shape(self):
         params = mv.md_from_spectral(mv.evenly_spaced_spectral(3))
-        assert mv.sample_sn(params, 10, np.random.default_rng(1)).shape == (2,)
+        assert mv.sample_sn_batch(params, 10, 1, np.random.default_rng(1)).shape == (1, 2)
 
     def test_negative_k_rejected(self):
         params = mv.gd_params(1.0)
@@ -146,9 +147,6 @@ class TestSampleTa:
 
     def test_general_alpha_mean(self):
         # alpha=2, c=1, n=100: mean within bias + MC noise of Gamma(2) = 1
-        rng = np.random.default_rng(302)
-        x = mv.sample_ta(2.0, lambda r, m: np.ones((m, 1)), 1.0, 100, rng)
-        assert x.shape == (1,)
         rngb = np.random.default_rng(303)
         xb = mv.sample_ta_batch(2.0, lambda r, m: np.ones((m, 1)), 1.0, 100,
                                 20_000, rngb)[:, 0]
@@ -176,6 +174,87 @@ class TestSampleDs:
         with pytest.raises(UnsupportedMeasureError, match="discretize"):
             mv.sample_ds_batch(mv.SpectralMeasure.beta(2.0, 2.0), 1e-12, 10,
                                np.random.default_rng(0))
+
+
+# Per-term loops of the samplers before they shared one series kernel; the
+# kernel must reproduce their draws, their order and their arithmetic.
+
+def _loop_sn(params, k, n, rng, T=1.0):
+    bdlm, alpha = params.bdlm, params.alpha
+    t_theta = T * bdlm.theta
+    out = np.tile(T * params.gamma, (n, 1))
+    w, g = np.ones(n), np.zeros(n)
+    for _ in range(k):
+        if alpha == 1.0:
+            w = w * rng.random(n) ** (1.0 / t_theta)
+        else:
+            g += rng.standard_exponential(n)
+            w = np.exp(-((alpha / t_theta) * g) ** (1.0 / alpha))
+        out += w[:, None] * bdlm.base_sampler(rng, n)
+    return out
+
+
+def _loop_ta(alpha, nu0_sampler, c, n, n_reps, rng):
+    d = np.atleast_2d(np.asarray(nu0_sampler(rng, 1), dtype=float)).shape[1]
+    out = np.zeros((n_reps, d))
+    for _ in range(mv.ta_term_count(alpha, c, n)):
+        w = (1.0 - rng.random(n_reps) ** (1.0 / alpha)) ** float(n)
+        out += w[:, None] * np.asarray(nu0_sampler(rng, n_reps)).reshape(n_reps, d)
+    return out
+
+
+def _loop_gd(theta, tol, n, rng):
+    out, w = np.zeros(n), np.ones(n)
+    for _ in range(mv.gd_truncation_terms(theta, tol)):
+        w = w * rng.random(n) ** (1.0 / theta)
+        out += w
+    return out
+
+
+class TestStreamsPinned:
+    MODELS = {"finite": mv.evenly_spaced_spectral(7),
+              "beta": mv.SpectralMeasure.beta(2.0, 5.0)}
+
+    @staticmethod
+    def _same(run, ref, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(run(a), ref(b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("model", ["finite", "beta"])
+    @pytest.mark.parametrize("alpha, T", [(1.0, 1.0), (1.0, 1.5), (2.0, 1.0), (0.6, 0.7)])
+    def test_sn(self, model, alpha, T):
+        bdlm = mv.md_from_spectral(self.MODELS[model]).bdlm
+        params = mv.LStarParams(alpha=alpha, bdlm=bdlm, gamma=[0.1, -0.2])
+        self._same(lambda r: mv.sample_sn_batch(params, 37, 1001, r, T=T),
+                   lambda r: _loop_sn(params, 37, 1001, r, T=T), 11)
+
+    @pytest.mark.parametrize("model", ["finite", "beta"])
+    @pytest.mark.parametrize("alpha, n", [(1.0, 200), (2.0, 30), (0.5, 7)])
+    def test_ta(self, model, alpha, n):
+        draw = self.MODELS[model].sample_directions
+        self._same(lambda r: mv.sample_ta_batch(alpha, draw, 1.3, n, 1001, r),
+                   lambda r: _loop_ta(alpha, draw, 1.3, n, 1001, r), 12)
+
+    @pytest.mark.parametrize("theta", [1.0, 0.005, 3.7])
+    def test_gd(self, theta):
+        self._same(lambda r: mv.sample_gd_batch(theta, 1e-12, 2003, r),
+                   lambda r: _loop_gd(theta, 1e-12, 2003, r), 13)
+
+    def test_ds_is_gd_per_atom(self):
+        sigma = self.MODELS["finite"]
+
+        def ref(r):
+            return sum(_loop_gd(a, 1e-12, 500, r)[:, None] * s
+                       for s, a in zip(sigma.directions, sigma.masses))
+        self._same(lambda r: mv.sample_ds_batch(sigma, 1e-12, 500, r), ref, 14)
+
+    def test_summands_are_not_written(self):
+        shared = np.ones((50, 1))
+        x = mv.sample_ta_batch(1.0, lambda r, m: shared[:m], 1.0, 20, 50,
+                               np.random.default_rng(15))
+        np.testing.assert_array_equal(shared, 1.0)
+        assert x.min() > 0.0
 
 
 class TestFixedPointMap:
@@ -256,6 +335,23 @@ class TestLevyPath:
             inc2[i] = path.value_at(1.0)[0] - half
         corr = np.corrcoef(inc1, inc2)[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(n_paths)
+
+    def test_general_alpha_marginals(self):
+        # X_t ~ L*_2(t nu, t gamma) for nu = delta_1, gamma = 0.3, at t = 1 and T = 2
+        bdlm = mv.BDLM.from_atoms([[1.0]], [1.0])
+        params = mv.LStarParams(alpha=2.0, bdlm=bdlm, gamma=[0.3])
+        rng = np.random.default_rng(505)
+        n_paths = 20_000
+        ends, mids = np.empty(n_paths), np.empty(n_paths)
+        for i in range(n_paths):
+            path = mv.sample_levy_path(params, 2.0, 150, rng)
+            ends[i] = path.value_at(2.0)[0]
+            mids[i] = path.value_at(1.0)[0]
+        for t, x in ((2.0, ends), (1.0, mids)):
+            truth = mv.lstar_moments(mv.LStarParams(
+                alpha=2.0, bdlm=mv.BDLM.from_atoms([[1.0]], [t]), gamma=[0.3 * t]))
+            se = math.sqrt(truth.cov[0, 0] / n_paths)
+            assert abs(x.mean() - truth.mean[0]) <= 5 * se
 
     def test_validation(self):
         with pytest.raises(ValidationError):
