@@ -3,8 +3,9 @@
 
 A run draws N replications per grid cell, estimates the five bivariate
 moments, and records the root-sum-of-squares deviation E_k from the analytic
-truth. Cells own independent, reproducible RNG substreams, so reruns are
-byte-identical for any worker count.
+truth. Cells own independent, reproducible RNG substreams, and so do the
+fixed-size row chunks that ``generate_batch`` splits a cell into, so reruns
+are byte-identical for any worker count and any number of chunk threads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from .errors import ConfigurationError, UnsupportedMeasureError, ValidationError
 from .measures import FINITE, model_label, spectral_from_json
 from .moments import md_moments
-from .samplers import generate_batch, gd_truncation_terms, ta_term_count
+from .samplers import _CHUNK, generate_batch, gd_truncation_terms, ta_term_count
 from .stats import empirical_moments, error_metric
 
 METHODS = ("SN", "TA", "DS")
@@ -28,8 +29,9 @@ METHODS = ("SN", "TA", "DS")
 #: log-ish thinning of a 1..200 sweep; keeps a full sweep at desk scale
 DEFAULT_K_GRID = (1, 2, 5, 10, 20, 50, 100, 150, 200)
 
-#: most replication-terms (series terms x n_reps) one cell may need: under
-#: half an hour at the 30-170 ns a replication-term takes on a 2-core x86 VM
+#: most replication-terms (series terms x max(n_reps, 8192)) one cell may
+#: need: under half an hour at the 30-170 ns a replication-term takes on a
+#: 2-core x86 VM
 MAX_CELL_WORK = 10 ** 10
 
 CSV_COLUMNS = ("model", "method", "k", "n_reps", "seed", "e_k",
@@ -82,11 +84,14 @@ class ExperimentConfig:
         ds = (sum(gd_truncation_terms(a, self.gd_tol) for a in sigma.masses)
               if sigma.variant == FINITE else k * gd_truncation_terms(sigma.mass, self.gd_tol))
         cell_terms = {"SN": k, "TA": ta_term_count(1.0, sigma.mass, k), "DS": ds}
+        # a term costs a chunk's worth of interpreter time however few
+        # replications it runs, so it is charged at least _CHUNK of them
         terms = max(cell_terms[m] for m in methods)
-        if terms * self.n_reps > MAX_CELL_WORK:
+        reps = max(self.n_reps, _CHUNK)
+        if terms * reps > MAX_CELL_WORK:
             raise ConfigurationError(
-                f"the largest cell needs {terms} terms x {self.n_reps} replications, "
-                f"over the budget of {MAX_CELL_WORK:.0e}")
+                f"the largest cell needs {terms} terms x {reps} replications "
+                f"(at least {_CHUNK} are charged), over the budget of {MAX_CELL_WORK:.0e}")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "k_grid", k_grid)
 

@@ -43,7 +43,11 @@ def angle_to_direction(phi):
     Angles outside [0, 2*pi) are reduced modulo 2*pi rather than rejected.
     Accepts a scalar or an array; returns shape (2,) or (n, 2).
     """
-    phi = np.asarray(phi, dtype=float) % TWO_PI
+    phi = np.asarray(phi, dtype=float)
+    # the reduction returns every angle in (0, 2*pi) unchanged, so skip its
+    # copy then; zeros (-0.0 becomes +0.0), NaN and the rest still take it
+    if not (phi.size and 0.0 < phi.min() and phi.max() < TWO_PI):
+        phi = phi % TWO_PI
     out = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     return out
 

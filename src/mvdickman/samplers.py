@@ -10,6 +10,17 @@ Three routes are implemented:
 Every sampler is pure given a ``numpy.random.Generator``; batch variants
 vectorize over replications with O(n_reps * d) working memory.
 
+``generate_batch`` splits its ``n_reps`` rows into chunks of ``_CHUNK`` =
+8192 rows (the last one shorter) and runs one ``sample_*_batch`` call per
+chunk. Chunk 0 draws from ``default_rng(seed)`` and chunk c >= 1 from
+``default_rng(SeedSequence(seed, spawn_key=(c,)))``, so a batch of at most
+8192 rows is the unchunked batch, and the first 8192 rows of any batch are
+the 8192-row batch. Work that needs no random draws (discretization, the
+L*_1 parameters, the finite guide table) is done once per batch. Chunks of a
+multi-chunk batch run on one per-process thread pool with a thread per usable
+CPU, since NumPy's generator fills and ufuncs release the GIL; the rows are
+joined in chunk order, so the output does not depend on the thread count.
+
 SN, TA and the generalized Dickman (GD) draws behind DS sum one weighted
 series sum_i w_i Y_i in the private kernel ``_series``; only the weights
 (``_sn_weights``, ``_ta_weights``) and the summands Y_i differ.
@@ -35,6 +46,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +57,11 @@ from .errors import UnsupportedMeasureError, ValidationError
 from .measures import FINITE, BDLM, LStarParams, SpectralMeasure
 
 _DEFAULT_GD_TOL = 1e-12
+
+#: rows per chunk of a generated batch; each chunk has its own RNG substream.
+#: At 8192 rows one term's temporaries (64-128 KiB) stay in L2, and a NumPy
+#: call is long enough that threads do not spend it handing over the GIL.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -338,6 +357,45 @@ def fixed_point_map(x, w, u, theta: float):
 # provenance-carrying batch generation
 # --------------------------------------------------------------------------
 
+def _chunk_rng(seed: int, c: int) -> np.random.Generator:
+    """Generator of chunk c of a batch: chunk 0 draws from ``default_rng(seed)``
+    as an unchunked batch does, chunk c >= 1 from spawn key (c,) of ``seed``."""
+    if c == 0:
+        return np.random.default_rng(seed)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+
+
+_pool = None
+_pool_pid = None
+_pool_lock = threading.Lock()
+
+
+def _thread_pool() -> ThreadPoolExecutor:
+    """This process's chunk pool, created on first use. A forked child
+    inherits the object but not its threads, so it makes its own."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _pool = ThreadPoolExecutor(max_workers=cpus,
+                                       thread_name_prefix="mvdickman-chunk")
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def _run_chunks(draw, n_reps: int, seed: int) -> np.ndarray:
+    """``draw(m, rng)`` on each chunk of the ``n_reps`` rows, joined in chunk
+    order. One chunk runs inline; more go to the thread pool."""
+    if n_reps <= _CHUNK:
+        return draw(n_reps, _chunk_rng(seed, 0))
+    starts = range(0, n_reps, _CHUNK)
+    parts = _thread_pool().map(
+        lambda c: draw(min(_CHUNK, n_reps - starts[c]), _chunk_rng(seed, c)),
+        range(len(starts)))
+    return np.concatenate(list(parts))
+
+
 def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
                    seed: int, gd_tol: float = _DEFAULT_GD_TOL,
                    params_doc: dict | None = None) -> SampleBatch:
@@ -347,16 +405,19 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
     sigma is exact and records k = 0; on an angular-density sigma it first
     discretizes at level k with the default evenly spaced grid. Sampler-backed
     measures cannot be run through DS.
+
+    The rows are drawn in chunks of ``_CHUNK`` rows, each from its own
+    substream of ``seed`` (see the module docstring).
     """
     from .measures import md_from_spectral
     from .discretize import default_grid, discretize_angular
 
-    rng = np.random.default_rng(seed)
     if method == "SN":
-        data = sample_sn_batch(md_from_spectral(sigma), k, n_reps, rng)
+        params = md_from_spectral(sigma)
+        draw = lambda m, rng: sample_sn_batch(params, k, m, rng)
     elif method == "TA":
-        data = sample_ta_batch(1.0, sigma.sample_directions, sigma.mass, k,
-                               n_reps, rng)
+        draw = lambda m, rng: sample_ta_batch(1.0, sigma.sample_directions,
+                                              sigma.mass, k, m, rng)
     elif method == "DS":
         if sigma.variant == FINITE:
             k = 0
@@ -366,9 +427,12 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
             raise UnsupportedMeasureError(
                 "DS needs a finite-support or angular-density measure; run "
                 "the discretize step first")
-        data = sample_ds_batch(sigma, gd_tol, n_reps, rng)
+        draw = lambda m, rng: sample_ds_batch(sigma, gd_tol, m, rng)
     else:
         raise ValidationError(f"unknown method {method!r}")
+    if method != "DS" and sigma.variant == FINITE:
+        sigma._atom_sampler  # build the guide table once, not in each chunk
+    data = _run_chunks(draw, n_reps, seed)
     doc = json.dumps(params_doc, sort_keys=True) if params_doc else ""
     return SampleBatch(data=data, method=method, k=k, n_reps=n_reps,
                        seed=seed, params=doc)

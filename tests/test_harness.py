@@ -83,6 +83,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="budget"):
             mv.ExperimentConfig(**{"model": BETA25, **change})
 
+    def test_work_budget_charges_a_chunk_of_replications(self):
+        with pytest.raises(ConfigurationError, match="budget"):
+            mv.ExperimentConfig(model=BETA25, methods=("SN",), k_grid=(10 ** 9,),
+                                n_reps=2)
+        mv.ExperimentConfig(model=BETA25, methods=("SN",), k_grid=(10 ** 6,), n_reps=2)
+
     def test_paper_sweep_within_budget(self):
         config = mv.ExperimentConfig(model=BETA25)
         assert (config.n_reps, config.k_grid) == (160_000, mv.DEFAULT_K_GRID)
@@ -149,6 +155,15 @@ class TestRunExperiment:
         config = small_config(methods=("SN", "TA", "DS"), k_grid=(1, 4))
         serial = mv.rows_to_csv(mv.run_experiment(config, workers=1))
         parallel = mv.rows_to_csv(mv.run_experiment(config, workers=4))
+        assert serial == parallel
+
+    def test_chunk_threads_and_workers_do_not_change_bytes(self):
+        # over one chunk of rows, so the serial run starts this process's
+        # thread pool before the workers are forked
+        config = small_config(methods=("SN", "TA", "DS"), k_grid=(1, 3),
+                              n_reps=mv.samplers._CHUNK + 808)
+        serial = mv.rows_to_csv(mv.run_experiment(config, workers=1))
+        parallel = mv.rows_to_csv(mv.run_experiment(config, workers=2))
         assert serial == parallel
 
     def test_timing_populates_runtime(self):

@@ -23,6 +23,33 @@ def test_angle_to_direction_reduces_mod_2pi():
                                mv.angle_to_direction(3 * np.pi / 2), atol=1e-12)
 
 
+def _bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+ANGLES = st.one_of(
+    st.floats(0.0, mv.measures.TWO_PI, exclude_min=True, exclude_max=True),
+    st.floats(allow_infinity=False),
+    st.sampled_from([0.0, -0.0, float("nan"), mv.measures.TWO_PI,
+                     np.nextafter(mv.measures.TWO_PI, 0.0), -1.0, 7.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=st.lists(ANGLES, max_size=20), in_range=st.booleans())
+def test_angle_to_direction_skips_only_an_identity_reduction(phi, in_range):
+    """Angles all in (0, 2*pi) skip ``% 2*pi``; the bits equal the reduced map's."""
+    phi = np.array(phi, dtype=float)
+    if in_range:
+        phi = phi[(phi > 0.0) & (phi < mv.measures.TWO_PI)]
+    reduced = phi % mv.measures.TWO_PI
+    ref = np.stack([np.cos(reduced), np.sin(reduced)], axis=-1)
+    np.testing.assert_array_equal(_bits(mv.angle_to_direction(phi)), _bits(ref))
+    for x in phi[:3]:
+        r = x % mv.measures.TWO_PI
+        np.testing.assert_array_equal(_bits(mv.angle_to_direction(x)),
+                                      _bits([np.cos(r), np.sin(r)]))
+
+
 def test_angle_to_direction_unit_norm():
     rng = np.random.default_rng(7)
     phis = rng.random(500) * 2 * np.pi

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -396,6 +399,92 @@ class TestSampleBatch:
             1.0, 2, lambda r, n: np.tile([1.0, 0.0], (n, 1)))
         with pytest.raises(UnsupportedMeasureError, match="discretize"):
             mv.generate_batch("DS", sigma, 16, 400, seed=1)
+
+
+class TestChunkedBatch:
+    """generate_batch draws chunk c of ``_CHUNK`` rows from its own substream:
+    ``default_rng(seed)`` for c = 0, spawn key (c,) of the seed after that."""
+
+    MODELS = {"finite": mv.evenly_spaced_spectral(7),
+              "beta": mv.SpectralMeasure.beta(2.0, 5.0)}
+    CHUNK = mv.samplers._CHUNK
+
+    @staticmethod
+    def _direct(method, sigma, k, n, rng):
+        if method == "SN":
+            return mv.sample_sn_batch(mv.md_from_spectral(sigma), k, n, rng)
+        if method == "TA":
+            return mv.sample_ta_batch(1.0, sigma.sample_directions, sigma.mass, k, n, rng)
+        if sigma.variant == "angular":
+            sigma = mv.discretize_angular(sigma, mv.default_grid(k))
+        return mv.sample_ds_batch(sigma, 1e-12, n, rng)
+
+    def test_chunk_is_8192_rows(self):
+        assert self.CHUNK == 8192
+
+    @pytest.mark.parametrize("model", ["finite", "beta"])
+    @pytest.mark.parametrize("method", ["SN", "TA", "DS"])
+    @pytest.mark.parametrize("n", [1, 1000, 8192])
+    def test_one_chunk_is_the_unchunked_batch(self, model, method, n):
+        sigma = self.MODELS[model]
+        batch = mv.generate_batch(method, sigma, 6, n, seed=21)
+        ref = self._direct(method, sigma, 6, n, np.random.default_rng(21))
+        np.testing.assert_array_equal(batch.data, ref)
+
+    @pytest.mark.parametrize("method", ["SN", "TA", "DS"])
+    def test_rows_agree_with_a_serial_loop_over_chunks(self, method):
+        sigma = self.MODELS["beta"]
+        n = 2 * self.CHUNK + 3616
+        parts = []
+        for c, m in enumerate((self.CHUNK, self.CHUNK, 3616)):
+            seq = 22 if c == 0 else np.random.SeedSequence(22, spawn_key=(c,))
+            parts.append(self._direct(method, sigma, 4, m, np.random.default_rng(seq)))
+        batch = mv.generate_batch(method, sigma, 4, n, seed=22)
+        np.testing.assert_array_equal(batch.data, np.concatenate(parts))
+
+    @pytest.mark.parametrize("model", ["finite", "beta"])
+    def test_row_prefixes_agree(self, model):
+        sigma = self.MODELS[model]
+        long = mv.generate_batch("SN", sigma, 5, 20_000, seed=23)
+        short = mv.generate_batch("SN", sigma, 5, self.CHUNK, seed=23)
+        np.testing.assert_array_equal(long.data[:self.CHUNK], short.data)
+        assert long.data.shape == (20_000, 2)
+
+    def test_concurrent_batches_share_the_pool(self):
+        # more callers than cores, switching threads as often as possible
+        sigma = mv.evenly_spaced_spectral(50)
+        n = 3 * self.CHUNK
+        want = [mv.generate_batch("SN", sigma, 3, n, seed=s).data for s in range(6)]
+        got = [None] * 6
+
+        def run(s):
+            got[s] = mv.generate_batch("SN", sigma, 3, n, seed=s).data
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(mv.samplers, "_pool", None)
+        monkeypatch.setattr(mv.samplers, "_pool_pid", None)
+        mv.generate_batch("TA", self.MODELS["finite"], 3, self.CHUNK, seed=24)
+        assert mv.samplers._pool is None
+        mv.generate_batch("TA", self.MODELS["finite"], 3, self.CHUNK + 1, seed=24)
+        pool = mv.samplers._pool
+        assert pool is not None and pool._max_workers == len(os.sched_getaffinity(0))
+        mv.generate_batch("TA", self.MODELS["finite"], 3, self.CHUNK + 1, seed=24)
+        assert mv.samplers._pool is pool  # one pool per process, reused
+        pool.shutdown()
 
 
 def test_sn_ds_cross_method_agreement_small():
