@@ -139,6 +139,8 @@ class SpectralMeasure:
     angle_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     direction_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     moment_data: tuple[np.ndarray, np.ndarray] | None = None
+    #: shapes (a, b) asserting that ``density`` is the Beta(a, b) density of
+    #: ``beta``; discretization takes its cell masses from them in closed form
     beta_params: tuple[float, float] | None = field(default=None, compare=False)
 
     # -- constructors ------------------------------------------------------
@@ -265,6 +267,12 @@ class SpectralMeasure:
                                       f"the atom masses within {_PROB_SUM_TOL:.2g}")
         if self.variant == ANGULAR and self.dim != 2:
             raise ValidationError("angular-density measures are bivariate only")
+        if self.beta_params is not None:
+            if self.variant != ANGULAR:
+                raise ValidationError("beta_params needs an angular-density measure")
+            shapes = np.asarray(self.beta_params, dtype=float)
+            if shapes.shape != (2,) or not np.all((shapes > 0) & (shapes < math.inf)):
+                raise ValidationError("beta parameters must be two finite numbers > 0")
 
     @cached_property
     def _atom_sampler(self) -> _AtomSampler:

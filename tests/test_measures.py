@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -339,6 +341,21 @@ class TestMdFromSpectral:
             mv.md_moments(bad)
         with pytest.raises(ValidationError, match="sum of the atom masses"):
             mv.md_from_spectral(bad)
+
+    def test_rejects_beta_params_on_a_finite_measure(self):
+        bad = mv.SpectralMeasure(variant="finite", dim=2, mass=1.0,
+                                 directions=np.array([[1.0, 0.0]]),
+                                 masses=np.array([1.0]), beta_params=(2.0, 5.0))
+        with pytest.raises(ValidationError, match="beta_params needs an angular"):
+            bad.validate()
+
+    @pytest.mark.parametrize("params", [(math.nan, 1.0), (2.0, 0.0), (-1.0, 2.0),
+                                        (2.0, math.inf), (2.0,), (1.0, 2.0, 3.0)])
+    def test_rejects_beta_params_that_are_not_two_positive_shapes(self, params):
+        beta = mv.SpectralMeasure.beta(2.0, 5.0)
+        beta.validate()
+        with pytest.raises(ValidationError, match="beta parameters"):
+            dataclasses.replace(beta, beta_params=params).validate()
 
     def test_revalidates_raw_constructed_measure(self):
         bad = mv.SpectralMeasure(variant="finite", dim=2, mass=1.0,
