@@ -6,8 +6,8 @@ from .errors import (ConfigurationError, QuadratureError,
 from .measures import (BDLM, LStarParams, SpectralMeasure, angle_to_direction,
                        evenly_spaced_spectral, gd_params, md_from_spectral,
                        model_label, spectral_from_json, spectral_to_json)
-from .moments import (MomentSummary, beta_spectral_moments, lstar_moments,
-                      malpha_radial_moment, malpha_tail_mass, md_moments)
+from .moments import (MomentSummary, lstar_moments, malpha_radial_moment,
+                      malpha_tail_mass, md_moments)
 from .discretize import DiscretizationGrid, default_grid, discretize_angular
 from .samplers import (LevyPathSkeleton, SampleBatch, fixed_point_map,
                        gd_truncation_terms, generate_batch, sample_ds_batch,
@@ -28,7 +28,7 @@ __all__ = [
     "angle_to_direction", "md_from_spectral", "gd_params",
     "evenly_spaced_spectral", "spectral_from_json", "spectral_to_json",
     "model_label",
-    "lstar_moments", "md_moments", "beta_spectral_moments",
+    "lstar_moments", "md_moments",
     "malpha_tail_mass", "malpha_radial_moment",
     "default_grid", "discretize_angular",
     "sample_gd_batch", "sample_sn_batch", "sample_levy_path",

@@ -84,6 +84,11 @@ def discretize_angular(sigma: SpectralMeasure,
     1e-10 * max(1, k/4)). Cells with zero mass are dropped so downstream GD
     samplers never see a zero rate. Raises if the summed atom mass drifts
     from the total mass by more than 1e-9.
+
+    Known limit: the per-cell quadrature has no rule for an integrable
+    endpoint singularity, so a non-beta density with one can raise
+    QuadratureError; the beta(0.2, 0.3) density wrapped as a plain angular
+    density does at k = 1 (summed estimate 8.3e-10 > 1e-10).
     """
     if sigma.variant != ANGULAR or sigma.density is None:
         raise ValidationError("discretize_angular needs an angular-density measure")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, UnsupportedMeasureError, ValidationError
 from .measures import FINITE, model_label, spectral_from_json
-from .moments import md_moments
+from .moments import MomentSummary, md_moments
 from .samplers import _CHUNK, generate_batch, gd_truncation_terms, ta_term_count
 from .stats import empirical_moments, error_metric
 
@@ -38,6 +39,10 @@ CSV_COLUMNS = ("model", "method", "k", "n_reps", "seed", "e_k",
                "xbar1", "xbar2", "s1sq", "s2sq", "s12",
                "m1", "m2", "var1", "var2", "cov12", "runtime_ms")
 CSV_HEADER = ",".join(CSV_COLUMNS)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -61,22 +66,30 @@ class ExperimentConfig:
             sigma = spectral_from_json(self.model)
         except ValidationError as exc:
             raise ConfigurationError(f"invalid model document: {exc}") from exc
+        if not isinstance(self.methods, (list, tuple)):
+            raise ConfigurationError(f"methods must be a list, got {self.methods!r}")
         methods = tuple(self.methods)
         if not methods or any(m not in METHODS for m in methods):
             raise ConfigurationError(f"methods must be a nonempty subset of {METHODS}")
-        k_grid = tuple(int(k) for k in self.k_grid)
-        if not k_grid or any(k < 1 for k in k_grid):
+        if not (isinstance(self.k_grid, (list, tuple)) and self.k_grid
+                and all(_is_int(k) and k >= 1 for k in self.k_grid)):
             raise ConfigurationError("k_grid must be a nonempty list of positive integers")
+        k_grid = tuple(int(k) for k in self.k_grid)
         if any(b <= a for a, b in zip(k_grid, k_grid[1:])):
             raise ConfigurationError("k_grid must be strictly increasing")
-        if self.n_reps < 2:
-            raise ConfigurationError("n_reps must be >= 2")
-        if self.seed_replicates < 1:
-            raise ConfigurationError("seed_replicates must be >= 1")
-        if not 0 <= int(self.base_seed) < 2 ** 64:
+        for name, low in (("n_reps", 2), ("seed_replicates", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not self.base_seed < 2 ** 64:
             raise ConfigurationError("base_seed must fit in 64 bits")
-        if not (isinstance(self.gd_tol, (int, float)) and 0 < self.gd_tol < math.inf):
+        if not (isinstance(self.gd_tol, numbers.Real) and not isinstance(self.gd_tol, bool)
+                and 0 < self.gd_tol < math.inf):
             raise ConfigurationError("gd_tol must be finite and > 0")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ConfigurationError(f"out must be a path string or null, got {self.out!r}")
+        if not isinstance(self.timing, bool):
+            raise ConfigurationError(f"timing must be true or false, got {self.timing!r}")
         # series terms per replication in the largest cell of each method; for DS
         # on an angular model an upper bound, as k atoms have mass <= theta each
         # and the GD term count grows with the mass
@@ -97,10 +110,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"a config document is a JSON object, got {doc!r}")
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
-            raise ConfigurationError(f"unknown config keys: {sorted(extra)}")
+            raise ConfigurationError(f"unknown config keys: {sorted(map(repr, extra))}")
+        if "model" not in doc:
+            raise ConfigurationError("config needs a spectral-measure 'model' document")
         return cls(**doc)
 
     def to_json(self) -> dict:
@@ -166,10 +182,16 @@ def _plan_cells(config: ExperimentConfig):
 
 
 def run_cell(model_doc: dict, method: str, k: int, n_reps: int, seed: int,
-             gd_tol: float, timing: bool = False) -> dict:
-    """Simulate one grid cell and reduce it to a CSV row dict."""
+             gd_tol: float, timing: bool = False,
+             truth: MomentSummary | None = None) -> dict:
+    """Simulate one grid cell and reduce it to a CSV row dict.
+
+    ``truth`` is the model's ``md_moments``; it is computed here when not
+    given.
+    """
     sigma = spectral_from_json(model_doc)
-    truth = md_moments(sigma)
+    if truth is None:
+        truth = md_moments(sigma)
     t0 = time.perf_counter()
     try:
         batch = generate_batch(method, sigma, k, n_reps, seed, gd_tol)
@@ -198,14 +220,16 @@ def _run_cell_args(args):
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[dict]:
     """Run every (method, k, seed-replicate) cell of the config.
 
-    Returns the CSV rows in deterministic cell order. Cells are independent;
+    Returns the CSV rows in deterministic cell order. The analytic truth is
+    computed once and handed to every cell. Cells are independent;
     ``workers > 1`` fans them out over processes without changing any output
     byte (each cell owns the substream seeded by its index).
     """
     cells = _plan_cells(config)
+    truth = md_moments(spectral_from_json(config.model))
     todo = [(config.model, method, k, config.n_reps,
              substream_seed(config.base_seed, index, rep),
-             config.gd_tol, config.timing)
+             config.gd_tol, config.timing, truth)
             for index, method, k, rep in cells]
     if workers <= 1:
         rows = [run_cell(*args) for args in todo]

@@ -156,8 +156,12 @@ def gd_truncation_terms(theta: float, tol: float) -> int:
     if theta + 1.0 <= tol:
         return 0
     q = theta / (theta + 1.0)
-    k = math.ceil(math.log(tol / (theta + 1.0)) / math.log(q)) - 1
-    return max(int(k), 0)
+    # log q; from log1p where q rounds to 1 (theta above about 2^53)
+    log_q = math.log(q) if q < 1.0 else math.log1p(-1.0 / (theta + 1.0))
+    k = math.log(tol / (theta + 1.0)) / log_q
+    if not math.isfinite(k):
+        raise ValidationError(f"the GD series for theta={theta!r} needs over 1e308 terms")
+    return max(math.ceil(k) - 1, 0)
 
 
 def sample_gd_batch(theta: float, tol: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,8 +15,7 @@ from scipy import integrate
 from .discretize import default_grid, discretize_angular
 from .harness import ExperimentConfig, rows_to_csv, run_experiment, substream_seed
 from .measures import SpectralMeasure, evenly_spaced_spectral, md_from_spectral
-from .moments import (beta_spectral_moments, lstar_moments, malpha_tail_mass,
-                      md_moments)
+from .moments import lstar_moments, malpha_tail_mass, md_moments
 from .samplers import sample_ds_batch, sample_gd_batch, sample_sn_batch
 from .stats import empirical_moments, fixed_point_test
 
@@ -100,7 +99,7 @@ def _check_determinism(seed, _n):
 
 
 def _check_beta_moments(seed, _n):
-    uniform = beta_spectral_moments(1.0, 1.0)
+    uniform = md_moments(SpectralMeasure.beta(1.0, 1.0, 1.0))
     gaps = [abs(uniform.m1), abs(uniform.m2), abs(uniform.var1 - 0.25),
             abs(uniform.var2 - 0.25), abs(uniform.cov12)]
     return max(gaps) <= 1e-10, f"uniform-case max deviation = {max(gaps):.2e}"

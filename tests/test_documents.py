@@ -1,0 +1,206 @@
+"""Property tests: malformed model and experiment documents fail at once with
+a package error (ValidationError or ConfigurationError), never with a
+KeyError, a TypeError or a late error in a worker."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import mvdickman as mv
+from mvdickman.errors import ConfigurationError, ValidationError
+
+PACKAGE_ERRORS = (ValidationError, ConfigurationError)
+
+#: values of the wrong JSON type for any numeric, list or string field
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                 st.lists(st.integers(-3, 3), max_size=2),
+                 st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NON_POSITIVE = st.one_of(st.floats(max_value=0.0, allow_nan=False),
+                         st.integers(max_value=0))
+SHAPES = st.floats(min_value=0.05, max_value=50.0)
+ANGLES = st.floats(min_value=0.0, max_value=6.28)
+MASSES = st.floats(min_value=0.01, max_value=10.0)
+#: JSON-like values of any shape
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+
+
+def bad_number(valid_zero=False):
+    """A value no numeric field accepts (0 is fine for angles)."""
+    bad = st.one_of(JUNK, NON_FINITE)
+    return bad if valid_zero else st.one_of(bad, NON_POSITIVE)
+
+
+@st.composite
+def beta_models(draw):
+    return {"variant": "beta", "alpha": draw(SHAPES), "beta": draw(SHAPES),
+            "mass": draw(MASSES)}
+
+
+@st.composite
+def finite_models(draw):
+    atoms = draw(st.lists(st.fixed_dictionaries({"angle": ANGLES, "mass": MASSES}),
+                          min_size=1, max_size=4))
+    return {"variant": "finite", "dim": 2, "atoms": atoms}
+
+
+@st.composite
+def malformed_models(draw):
+    """A valid beta or finite document with one corruption."""
+    kind = draw(st.sampled_from(["not a dict", "variant", "beta", "finite"]))
+    if kind == "not a dict":
+        return draw(st.one_of(st.none(), st.integers(), st.text(max_size=6),
+                              st.lists(st.integers(), max_size=2)))
+    if kind == "variant":
+        doc = draw(st.one_of(beta_models(), finite_models()))
+        if draw(st.booleans()):
+            del doc["variant"]
+        else:
+            doc["variant"] = draw(st.one_of(
+                JUNK, st.text(max_size=8)).filter(lambda v: v not in ("beta", "finite")))
+        return doc
+    if kind == "beta":
+        doc = draw(beta_models())
+        key = draw(st.sampled_from(["alpha", "beta", "mass"]))
+        if key != "mass" and draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(bad_number())
+        return doc
+    doc = draw(finite_models())
+    where = draw(st.sampled_from(["atoms", "dim", "atom", "angle", "mass"]))
+    if where == "atoms":
+        doc["atoms"] = draw(st.one_of(st.just([]), JUNK.filter(
+            lambda v: not (isinstance(v, list) and v))))
+        if draw(st.booleans()):
+            del doc["atoms"]
+    elif where == "dim":
+        doc["dim"] = draw(st.one_of(JUNK, NON_FINITE,
+                                    st.integers().filter(lambda d: d != 2)))
+    else:
+        i = draw(st.integers(0, len(doc["atoms"]) - 1))
+        if where == "atom":
+            doc["atoms"][i] = draw(JUNK.filter(lambda v: not isinstance(v, dict)))
+        elif draw(st.booleans()):
+            del doc["atoms"][i][where]
+        else:
+            doc["atoms"][i][where] = draw(bad_number(valid_zero=where == "angle"))
+    return doc
+
+
+def valid_config():
+    return {"model": {"variant": "beta", "alpha": 2.0, "beta": 5.0, "mass": 1.0},
+            "methods": ["SN", "TA", "DS"], "k_grid": [1, 2, 5], "n_reps": 500,
+            "base_seed": 1, "gd_tol": 1e-12, "out": None, "seed_replicates": 1,
+            "timing": False}
+
+
+#: for each config field, values it must refuse
+BAD_FIELDS = {
+    "model": st.one_of(malformed_models(), JUNK),
+    "methods": st.one_of(
+        JUNK.filter(lambda v: not (isinstance(v, list) and v
+                                   and set(v) <= {"SN", "TA", "DS"})),
+        st.lists(st.one_of(JUNK, st.sampled_from(["SN", "XX"])), min_size=1,
+                 max_size=3).filter(lambda v: "XX" in v or any(
+                     not isinstance(m, str) for m in v))),
+    "k_grid": st.one_of(
+        JUNK.filter(lambda v: not isinstance(v, list)), st.just([]),
+        st.lists(st.one_of(JUNK, NON_FINITE, st.floats(0.5, 9.5),
+                           st.integers(max_value=0)), min_size=1, max_size=3),
+        st.lists(st.integers(1, 9), min_size=2, max_size=3).filter(
+            lambda v: any(b <= a for a, b in zip(v, v[1:])))),
+    "n_reps": st.one_of(JUNK, NON_FINITE, st.floats(2.0, 1e4),
+                        st.integers(max_value=1)),
+    "base_seed": st.one_of(JUNK, NON_FINITE, st.floats(0.0, 1e4),
+                           st.integers(max_value=-1), st.integers(min_value=2 ** 64)),
+    "gd_tol": st.one_of(JUNK, NON_FINITE, NON_POSITIVE),
+    "out": st.one_of(st.booleans(), st.integers(), st.floats(),
+                     st.lists(st.text(max_size=2), max_size=2)),
+    "seed_replicates": st.one_of(JUNK, NON_FINITE, st.floats(1.0, 9.0),
+                                 st.integers(max_value=0)),
+    "timing": st.one_of(st.none(), st.integers(), st.text(max_size=4),
+                        st.lists(st.booleans(), max_size=2)),
+}
+
+
+@st.composite
+def malformed_configs(draw):
+    kind = draw(st.sampled_from(["not a dict", "no model", "unknown key", "field"]))
+    if kind == "not a dict":
+        return draw(st.one_of(st.none(), st.integers(), st.floats(),
+                              st.lists(st.integers(), max_size=2)))
+    doc = valid_config()
+    if kind == "no model":
+        del doc["model"]
+    elif kind == "unknown key":
+        key = draw(st.one_of(st.text(max_size=8), st.integers()).filter(
+            lambda k: k not in doc))
+        doc[key] = draw(JUNK)
+    else:
+        field = draw(st.sampled_from(sorted(BAD_FIELDS)))
+        doc[field] = draw(BAD_FIELDS[field])
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=malformed_models())
+def test_malformed_model_document_raises_validation_error(doc):
+    with pytest.raises(ValidationError):
+        mv.spectral_from_json(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=malformed_models())
+def test_config_with_malformed_model_raises_configuration_error(doc):
+    with pytest.raises(ConfigurationError):
+        mv.ExperimentConfig(model=doc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(doc=malformed_configs())
+def test_malformed_config_document_raises_package_error(doc):
+    with pytest.raises(PACKAGE_ERRORS):
+        mv.ExperimentConfig.from_json(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON)
+def test_any_model_document_parses_or_raises_validation_error(doc):
+    try:
+        mv.spectral_from_json(doc)
+    except ValidationError:
+        pass
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # B(a, b) underflow on huge shapes
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(), beta=st.floats(), mass=st.floats(),
+       model_kind=st.sampled_from(["beta", "finite"]))
+# GD term counts where theta/(theta+1) rounds to 1 and past the float range
+@example(alpha=0.0, beta=0.0, mass=2.0 ** 53, model_kind="finite")
+@example(alpha=0.0, beta=0.0, mass=3e305, model_kind="finite")
+@example(alpha=1.0, beta=1.0, mass=1e308, model_kind="beta")
+def test_any_numbers_in_a_config_parse_or_raise_package_error(alpha, beta, mass,
+                                                              model_kind):
+    if model_kind == "beta":
+        model = {"variant": "beta", "alpha": alpha, "beta": beta, "mass": mass}
+    else:
+        model = {"variant": "finite", "atoms": [{"angle": alpha, "mass": mass},
+                                                {"angle": beta, "mass": mass}]}
+    try:
+        mv.ExperimentConfig.from_json({**valid_config(), "model": model})
+    except PACKAGE_ERRORS:
+        pass
+
+
+def test_valid_documents_are_accepted():
+    config = mv.ExperimentConfig.from_json(valid_config())
+    assert config.to_json() == valid_config()
+    assert mv.spectral_from_json(valid_config()["model"]).beta_params == (2.0, 5.0)

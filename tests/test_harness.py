@@ -166,6 +166,20 @@ class TestRunExperiment:
         parallel = mv.rows_to_csv(mv.run_experiment(config, workers=2))
         assert serial == parallel
 
+    def test_truth_computed_once_per_experiment(self, monkeypatch):
+        config = small_config(model=BETA25, methods=("SN", "TA", "DS"), k_grid=(1, 4))
+        per_cell = mv.rows_to_csv([
+            run_cell(config.model, method, k, config.n_reps,
+                     mv.substream_seed(config.base_seed, index, rep), config.gd_tol)
+            for index, method, k, rep in _plan_cells(config)])
+        calls = []
+        md_moments = mv.harness.md_moments
+        monkeypatch.setattr("mvdickman.harness.md_moments",
+                            lambda sigma: calls.append(sigma) or md_moments(sigma))
+        assert mv.rows_to_csv(mv.run_experiment(config, workers=1)) == per_cell
+        assert len(calls) == 1
+        assert mv.rows_to_csv(mv.run_experiment(config, workers=2)) == per_cell
+
     def test_timing_populates_runtime(self):
         rows = mv.run_experiment(small_config(k_grid=(2,), methods=("SN",),
                                               timing=True))

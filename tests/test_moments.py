@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 import mvdickman as mv
-from mvdickman.errors import UnsupportedMeasureError, ValidationError
-from mvdickman.moments import INSIDE, OUTSIDE, MomentSummary, bdlm_integrals
+from mvdickman.errors import QuadratureError, UnsupportedMeasureError, ValidationError
+from mvdickman.moments import (INSIDE, OUTSIDE, MomentSummary, _beta_functionals,
+                               bdlm_integrals)
 
 # Brute-force Monte Carlo integration oracle, 1e8 beta-angle draws per pair
 # (pre-build verification run); agreement required to 3 decimals.
@@ -62,7 +65,7 @@ class TestLstarMoments:
     def test_beta_model_matches_beta_spectral_moments(self):
         params = mv.md_from_spectral(mv.SpectralMeasure.beta(2.0, 5.0))
         a = mv.lstar_moments(params)
-        b = mv.beta_spectral_moments(2.0, 5.0)
+        b = mv.md_moments(mv.SpectralMeasure.beta(2.0, 5.0, 1.0))
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-10, rtol=0)
         np.testing.assert_allclose(a.cov, b.cov, atol=1e-10, rtol=0)
 
@@ -122,7 +125,7 @@ class TestMdMoments:
 
 class TestBetaSpectralMoments:
     def test_uniform_case_exact(self):
-        s = mv.beta_spectral_moments(1.0, 1.0)
+        s = mv.md_moments(mv.SpectralMeasure.beta(1.0, 1.0, 1.0))
         assert abs(s.m1) <= 1e-10 and abs(s.m2) <= 1e-10
         assert s.var1 == pytest.approx(0.25, abs=1e-10)
         assert s.var2 == pytest.approx(0.25, abs=1e-10)
@@ -130,13 +133,14 @@ class TestBetaSpectralMoments:
 
     @pytest.mark.parametrize("ab", sorted(MC_BETA_ORACLE))
     def test_against_mc_oracle(self, ab):
-        s = mv.beta_spectral_moments(*ab)
+        s = mv.md_moments(mv.SpectralMeasure.beta(*ab, 1.0))
         for key, expected in MC_BETA_ORACLE[ab].items():
             assert getattr(s, key) == pytest.approx(expected, abs=1e-3), key
 
     def test_parameter_swap_symmetry(self):
         # phi -> 2*pi - phi maps beta(a,b) to beta(b,a): m1 even, m2/cov12 odd
-        a, b = mv.beta_spectral_moments(2.0, 5.0), mv.beta_spectral_moments(5.0, 2.0)
+        a = mv.md_moments(mv.SpectralMeasure.beta(2.0, 5.0, 1.0))
+        b = mv.md_moments(mv.SpectralMeasure.beta(5.0, 2.0, 1.0))
         assert a.m1 == pytest.approx(b.m1, abs=1e-9)
         assert a.m2 == pytest.approx(-b.m2, abs=1e-9)
         assert a.var1 == pytest.approx(b.var1, abs=1e-9)
@@ -145,8 +149,82 @@ class TestBetaSpectralMoments:
 
     def test_endpoint_singularity_handled(self):
         # a < 1 puts an integrable singularity at 0; trace identity must hold
-        s = mv.beta_spectral_moments(0.5, 0.7)
+        s = mv.md_moments(mv.SpectralMeasure.beta(0.5, 0.7, 1.0))
         assert s.var1 + s.var2 == pytest.approx(0.5, abs=1e-8)
+
+
+def _hyp1f1_moments(a, b, mass):
+    """Mean and covariance of MD(mass * Beta(a, b) angle) from the
+    characteristic function E exp(i m phi) = 1F1(a; a + b; 2 pi i m), m = 1, 2,
+    evaluated by mpmath at 40 digits; independent of any quadrature."""
+    with mpmath.workdps(40):
+        p1, p2 = (mass * mpmath.hyp1f1(a, a + b, 2j * m * mpmath.pi) for m in (1, 2))
+        c, s = float(p1.real), float(p1.imag)
+        c2, s2 = float((mass + p2.real) / 2), float((mass - p2.real) / 2)
+        cs = float(p2.imag / 2)
+    return np.array([c, s]), 0.5 * np.array([[c2, cs], [cs, s2]])
+
+
+def _counting_density(sigma):
+    calls = [0]
+    density = sigma.density
+
+    def counted(x):
+        calls[0] += 1
+        return density(x)
+
+    return dataclasses.replace(sigma, density=counted), calls
+
+
+class TestBetaMomentOracle:
+    """Both quadrature paths of the beta truth against 1F1 at 40 digits."""
+
+    @pytest.mark.parametrize("ab", [(2.0, 5.0), (5.0, 1.0), (1.0, 1.0), (0.5, 0.5),
+                                    (0.2, 0.3), (0.05, 0.05), (0.5, 50.0),
+                                    (0.05, 200.0)])
+    def test_against_hyp1f1(self, ab):
+        s = mv.md_moments(mv.SpectralMeasure.beta(*ab, 1.0))
+        mean, cov = _hyp1f1_moments(*ab, 1.0)
+        np.testing.assert_allclose(s.mean, mean, atol=1e-14, rtol=0)
+        np.testing.assert_allclose(s.cov, cov, atol=1e-14, rtol=0)
+
+    def test_scales_with_mass(self):
+        s = mv.md_moments(mv.SpectralMeasure.beta(0.2, 0.3, 3.5))
+        mean, cov = _hyp1f1_moments(0.2, 0.3, 3.5)
+        np.testing.assert_allclose(s.mean, mean, atol=1e-14, rtol=0)
+        np.testing.assert_allclose(s.cov, cov, atol=1e-14, rtol=0)
+
+    def test_lstar_moments_take_the_same_path(self):
+        sigma = mv.SpectralMeasure.beta(0.05, 0.05, 1.0)
+        a = mv.lstar_moments(mv.md_from_spectral(sigma))
+        b = mv.md_moments(sigma)
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.cov, b.cov)
+
+    @pytest.mark.parametrize("ab, density_used", [
+        ((0.5, 0.5), False), ((0.05, 0.05), False), ((0.9, 3.0), False),
+        ((2.0, 5.0), True), ((1.0, 1.0), True),
+    ])
+    def test_singular_shapes_never_evaluate_the_density(self, ab, density_used):
+        sigma, calls = _counting_density(mv.SpectralMeasure.beta(*ab, 1.0))
+        mv.md_moments(sigma)
+        assert (calls[0] > 0) == density_used
+
+    def test_over_budget_error_estimate_raises(self):
+        with pytest.raises(QuadratureError) as info:
+            _beta_functionals(0.5, 0.5, 1.0, tol=1e-30)
+        assert info.value.achieved is not None and info.value.achieved > 1e-30
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_density_raises_rather_than_returning_nan(self):
+        # B(1000, 1000) underflows to 0, so the density's normalization is NaN
+        with pytest.raises(QuadratureError):
+            mv.md_moments(mv.SpectralMeasure.beta(1000.0, 1000.0, 1.0))
+
+    def test_unresolved_shape_raises_rather_than_returning_nan(self):
+        # QAWS returns NaN with a NaN error estimate at (0.05, 2000)
+        with pytest.raises(QuadratureError):
+            mv.md_moments(mv.SpectralMeasure.beta(0.05, 2000.0, 1.0))
 
 
 def _tail_mass_quadrature(radius, weight, alpha, eps):
@@ -255,6 +333,6 @@ class TestMalphaRadialMoment:
 def test_bdlm_integrals_with_angular_spectral():
     bd = mv.BDLM.from_spectral(mv.SpectralMeasure.beta(2.0, 2.0))
     first, second = bdlm_integrals(bd)
-    s = mv.beta_spectral_moments(2.0, 2.0)
+    s = mv.md_moments(mv.SpectralMeasure.beta(2.0, 2.0, 1.0))
     np.testing.assert_allclose(first, s.mean, atol=1e-12)
     np.testing.assert_allclose(second, 2.0 * np.asarray(s.cov), atol=1e-12)
