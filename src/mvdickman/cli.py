@@ -61,10 +61,8 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = _load_model(args.model)
-    sigma = spectral_from_json(model)
-    batch = generate_batch(args.method, sigma, args.k, args.n, args.seed,
-                           args.gd_tol, params_doc=model)
+    sigma = spectral_from_json(_load_model(args.model))
+    batch = generate_batch(args.method, sigma, args.k, args.n, args.seed, args.gd_tol)
     header = ",".join(f"x{j + 1}" for j in range(batch.dim))
     lines = [header]
     for row in batch.data:

@@ -18,7 +18,7 @@ from scipy import integrate as _integrate
 from scipy.special import betainc
 
 from .errors import QuadratureError, ValidationError
-from .measures import ANGULAR, TWO_PI, SpectralMeasure
+from .measures import ANGULAR, TWO_PI, SpectralMeasure, _lock
 
 _MASS_TOL = 1e-9
 
@@ -43,9 +43,7 @@ class DiscretizationGrid:
         if np.any(angles < cuts[:-1]) or np.any(angles >= cuts[1:]):
             raise ValidationError("each representative must satisfy d_{i-1} <= phi_i < d_i")
         for name, value in (("cuts", cuts), ("angles", angles)):
-            value = np.array(value)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _lock(value))
 
     @property
     def k(self) -> int:

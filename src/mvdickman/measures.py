@@ -76,6 +76,15 @@ def _lock(a):
     return a
 
 
+def _lock_moment_data(moment_data, dim):
+    """``moment_data`` = (integral of s, integral of s s^T) as read-only
+    arrays of shapes (dim,) and (dim, dim); None passes through."""
+    if moment_data is None:
+        return None
+    first, second = moment_data
+    return _lock(np.reshape(first, dim)), _lock(np.reshape(second, (dim, dim)))
+
+
 class _AtomSampler:
     """Draws of ``points[i]`` with probability ``weights[i] / total``.
 
@@ -238,12 +247,9 @@ class SpectralMeasure:
             raise ValidationError("total mass must be finite and > 0")
         if dim < 1:
             raise ValidationError("dim must be >= 1")
-        if moment_data is not None:
-            m1 = _lock(np.asarray(moment_data[0], dtype=float).reshape(dim))
-            m2 = _lock(np.asarray(moment_data[1], dtype=float).reshape(dim, dim))
-            moment_data = (m1, m2)
         return cls(variant=SAMPLER, dim=int(dim), mass=float(mass),
-                   direction_sampler=direction_sampler, moment_data=moment_data)
+                   direction_sampler=direction_sampler,
+                   moment_data=_lock_moment_data(moment_data, dim))
 
     # -- behaviour ---------------------------------------------------------
 
@@ -403,8 +409,9 @@ class BDLM:
     ``moment_data`` = (integral of y dnu, integral of y y^T dnu) supplied by
     the caller.
 
-    The log-moment condition integral_{|x|>2} (log|x|)^log_moment_alpha nu(dx)
-    < infinity is recorded, not checked: it cannot be verified from a sampler.
+    The log-moment condition integral_{|x|>2} (log|x|)^alpha nu(dx) < infinity
+    holds trivially for finite and sphere support; for a sampler-backed nu it
+    cannot be checked from the sampler and is the caller's responsibility.
     Atoms at the origin are tolerated; the simulated law then corresponds to
     nu with the origin mass removed (uniform thinning), so moment formulas,
     which the origin cannot contribute to, remain valid.
@@ -413,7 +420,6 @@ class BDLM:
     theta: float
     dim: int
     base_sampler: Callable[[np.random.Generator, int], np.ndarray]
-    log_moment_alpha: float = 1.0
     points: np.ndarray | None = None
     weights: np.ndarray | None = None
     spectral: SpectralMeasure | None = None
@@ -424,11 +430,9 @@ class BDLM:
             raise ValidationError("theta = nu(R^d) must be finite and > 0")
         if self.dim < 1:
             raise ValidationError("dim must be >= 1")
-        if self.log_moment_alpha <= 0:
-            raise ValidationError("log_moment_alpha must be > 0")
 
     @classmethod
-    def from_atoms(cls, points, weights, log_moment_alpha=1.0) -> "BDLM":
+    def from_atoms(cls, points, weights) -> "BDLM":
         """Finite-support nu = sum_j w_j * delta_{y_j} (y_j need not be unit)."""
         y = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(weights, dtype=float).reshape(-1)
@@ -438,39 +442,23 @@ class BDLM:
         y = _lock(y)
         w = _lock(w)
         return cls(theta=theta, dim=y.shape[1],
-                   base_sampler=_AtomSampler(y, w, theta),
-                   log_moment_alpha=log_moment_alpha, points=y, weights=w)
+                   base_sampler=_AtomSampler(y, w, theta), points=y, weights=w)
 
     @classmethod
-    def from_spectral(cls, sigma: SpectralMeasure, log_moment_alpha=1.0) -> "BDLM":
+    def from_spectral(cls, sigma: SpectralMeasure) -> "BDLM":
         """Sphere-supported nu equal to the spectral measure sigma."""
         sigma.validate()
         points = sigma.directions if sigma.variant == FINITE else None
         weights = sigma.masses if sigma.variant == FINITE else None
         return cls(theta=sigma.mass, dim=sigma.dim,
                    base_sampler=sigma.sample_directions,
-                   log_moment_alpha=log_moment_alpha,
                    points=points, weights=weights, spectral=sigma)
 
     @classmethod
-    def from_sampler(cls, theta, dim, base_sampler, moment_data=None,
-                     log_moment_alpha=1.0) -> "BDLM":
+    def from_sampler(cls, theta, dim, base_sampler, moment_data=None) -> "BDLM":
         """nu known only through total mass and a sampler for nu_1."""
-        if moment_data is not None:
-            m1 = _lock(np.asarray(moment_data[0], dtype=float).reshape(dim))
-            m2 = _lock(np.asarray(moment_data[1], dtype=float).reshape(dim, dim))
-            moment_data = (m1, m2)
         return cls(theta=float(theta), dim=int(dim), base_sampler=base_sampler,
-                   log_moment_alpha=log_moment_alpha, moment_data=moment_data)
-
-    @property
-    def sphere_supported(self) -> bool:
-        if self.spectral is not None:
-            return True
-        if self.points is not None:
-            norms = np.linalg.norm(self.points, axis=1)
-            return bool(np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
-        return False
+                   moment_data=_lock_moment_data(moment_data, dim))
 
 
 @dataclass(frozen=True)

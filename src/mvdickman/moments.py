@@ -27,8 +27,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, gammaincc
 
 from .errors import QuadratureError, UnsupportedMeasureError, ValidationError
-from .measures import (ANGULAR, FINITE, TWO_PI, BDLM, LStarParams,
-                       SpectralMeasure, md_from_spectral)
+from .measures import (_MASS_CHECK_TOL, ANGULAR, FINITE, TWO_PI, BDLM,
+                       LStarParams, SpectralMeasure, _lock)
 
 _SYM_TOL = 1e-12
 _QUAD_TOL = 1e-10
@@ -54,10 +54,8 @@ class MomentSummary:
             raise ValidationError("covariance matrix must be symmetric to 1e-12")
         if np.any(np.diag(cov) < -_SYM_TOL):
             raise ValidationError("covariance diagonal must be >= -1e-12")
-        for name, value in (("mean", mean), ("cov", cov)):
-            value = np.array(value)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "mean", _lock(mean))
+        object.__setattr__(self, "cov", _lock(cov))
 
     @property
     def dim(self) -> int:
@@ -169,18 +167,41 @@ def _beta_functionals(a: float, b: float, mass: float, tol: float = _QUAD_TOL):
     return tuple(values)
 
 
-def _angular_summary(sigma: SpectralMeasure) -> MomentSummary:
-    """Moments of an angular measure: QAWS on beta shapes with min(a, b) < 1,
-    where the density is singular at an end; Gauss-Kronrod on the density
-    otherwise. QAWS is no substitute on smooth shapes: at (50, 50) its error
-    estimate is 3e-8, over the 1e-10 budget."""
-    if sigma.beta_params is not None and min(sigma.beta_params) < 1.0:
-        c, s, c2, s2, cs = _beta_functionals(*sigma.beta_params, sigma.mass)
-    else:
-        c, s, c2, s2, cs = (integrate_angular(g, sigma.density) for g in _ANGULAR_FNS)
-    mean = np.array([c, s])
-    cov = 0.5 * np.array([[c2, cs], [cs, s2]])
-    return MomentSummary(mean, cov)
+def _atom_sums(points, weights):
+    """(sum_i w_i y_i, sum_i w_i y_i y_i^T) over the atoms y_i."""
+    return points.T @ weights, (points * weights[:, None]).T @ points
+
+
+def _integrals(sigma: SpectralMeasure):
+    """(integral of s dsigma, integral of s s^T dsigma), the one place a
+    spectral measure's representation decides how its moments are computed.
+
+    Exact sums for finite support. For an angular measure, QAWS on beta shapes
+    with min(a, b) < 1, where the density is singular at an end, and
+    Gauss-Kronrod on the density otherwise; QAWS is no substitute on smooth
+    shapes (at (50, 50) its error estimate is 3e-8, over the 1e-10 budget).
+    The cos^2 and sin^2 integrals must add up to the mass within 1e-8, which
+    catches a density that underflowed to 0. Attached ``moment_data`` for a
+    sampler-backed measure.
+    """
+    if sigma.variant == FINITE:
+        return _atom_sums(sigma.directions, sigma.masses)
+    if sigma.variant == ANGULAR:
+        if sigma.beta_params is not None and min(sigma.beta_params) < 1.0:
+            c, s, c2, s2, cs = _beta_functionals(*sigma.beta_params, sigma.mass)
+        else:
+            c, s, c2, s2, cs = (integrate_angular(g, sigma.density) for g in _ANGULAR_FNS)
+        gap = abs(c2 + s2 - sigma.mass)
+        if not gap <= _MASS_CHECK_TOL:
+            raise QuadratureError(
+                f"angular moment integrals carry mass {c2 + s2!r}, not the "
+                f"declared {sigma.mass!r}", achieved=gap)
+        return np.array([c, s]), np.array([[c2, cs], [cs, s2]])
+    if sigma.moment_data is not None:
+        return sigma.moment_data
+    raise UnsupportedMeasureError(
+        "sampler-backed spectral measure without moment data; supply "
+        "moment_data or use a finite/angular representation")
 
 
 # --------------------------------------------------------------------------
@@ -190,24 +211,17 @@ def _angular_summary(sigma: SpectralMeasure) -> MomentSummary:
 def bdlm_integrals(bdlm: BDLM):
     """Return (integral of y dnu, integral of y y^T dnu) for a BDLM.
 
-    Exact sums for finite support; quadrature for sphere-supported angular
-    densities; caller-supplied ``moment_data`` otherwise.
+    Exact sums for finite support, caller-supplied ``moment_data``, or the
+    spectral measure's own integrals for a sphere-supported nu.
     """
     if bdlm.points is not None:
-        w = bdlm.weights
-        y = bdlm.points
-        first = y.T @ w
-        second = (y * w[:, None]).T @ y
-        return first, second
-    if bdlm.spectral is not None and bdlm.spectral.variant == ANGULAR:
-        summ = _angular_summary(bdlm.spectral)
-        return np.array(summ.mean), 2.0 * np.array(summ.cov)
+        return _atom_sums(bdlm.points, bdlm.weights)
     if bdlm.moment_data is not None:
         return bdlm.moment_data
-    if bdlm.spectral is not None and bdlm.spectral.moment_data is not None:
-        return bdlm.spectral.moment_data
+    if bdlm.spectral is not None:
+        return _integrals(bdlm.spectral)
     raise UnsupportedMeasureError(
-        "BDLM carries no finite support, angular density, or moment data; "
+        "BDLM carries no finite support, spectral measure, or moment data; "
         "cannot evaluate its moments")
 
 
@@ -225,7 +239,7 @@ def lstar_moments(params: LStarParams) -> MomentSummary:
 
 
 def md_moments(sigma: SpectralMeasure) -> MomentSummary:
-    """Mean and covariance of X ~ MD(sigma):
+    """Mean and covariance of X ~ MD(sigma), the L*_1(sigma, 0) case:
 
         E[X] = integral of s dsigma,  cov(X) = 1/2 integral of s s^T dsigma.
 
@@ -235,20 +249,8 @@ def md_moments(sigma: SpectralMeasure) -> MomentSummary:
     Sampler-backed measures need attached moment data.
     """
     sigma.validate()
-    if sigma.variant == FINITE:
-        w = sigma.masses
-        s = sigma.directions
-        mean = s.T @ w
-        cov = 0.5 * (s * w[:, None]).T @ s
-        return MomentSummary(mean, cov)
-    if sigma.variant == ANGULAR:
-        return _angular_summary(sigma)
-    if sigma.moment_data is not None:
-        first, second = sigma.moment_data
-        return MomentSummary(np.array(first), 0.5 * np.array(second))
-    raise UnsupportedMeasureError(
-        "sampler-backed spectral measure without moment data; supply "
-        "moment_data or use a finite/angular representation")
+    first, second = _integrals(sigma)
+    return MomentSummary(first, 0.5 * second)
 
 
 # --------------------------------------------------------------------------
@@ -314,5 +316,5 @@ __all__ = [
     "MomentSummary", "INSIDE", "OUTSIDE",
     "integrate_angular", "bdlm_integrals",
     "lstar_moments", "md_moments",
-    "malpha_tail_mass", "malpha_radial_moment", "md_from_spectral",
+    "malpha_tail_mass", "malpha_radial_moment",
 ]

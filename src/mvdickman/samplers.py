@@ -44,7 +44,6 @@ drift part contributes gamma).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import threading
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedMeasureError, ValidationError
-from .measures import FINITE, BDLM, LStarParams, SpectralMeasure
+from .measures import FINITE, BDLM, LStarParams, SpectralMeasure, _lock
 
 _DEFAULT_GD_TOL = 1e-12
 
@@ -66,14 +65,13 @@ _CHUNK = 8192
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """N approximate draws plus full provenance of how they were generated."""
+    """N approximate draws with the method, k, n_reps and seed that made them."""
 
     data: np.ndarray
     method: str
     k: int
     n_reps: int
     seed: int
-    params: str = ""
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -86,9 +84,7 @@ class SampleBatch:
                 f"data has {data.shape[0]} rows, expected n_reps={self.n_reps}")
         if not np.isfinite(data).all():
             raise ValidationError("sample data contains non-finite values")
-        data = np.array(data)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _lock(data))
 
     @property
     def dim(self) -> int:
@@ -122,9 +118,7 @@ class LevyPathSkeleton:
         if not np.isfinite(np.linalg.norm(jumps, axis=1).sum()):
             raise ValidationError("jump norms must have a finite sum")
         for name, value in (("drift", drift), ("times", times), ("jumps", jumps)):
-            value = np.array(value)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _lock(value))
 
     @property
     def events(self):
@@ -358,7 +352,7 @@ def fixed_point_map(x, w, u, theta: float):
 
 
 # --------------------------------------------------------------------------
-# provenance-carrying batch generation
+# batch generation
 # --------------------------------------------------------------------------
 
 def _chunk_rng(seed: int, c: int) -> np.random.Generator:
@@ -401,8 +395,7 @@ def _run_chunks(draw, n_reps: int, seed: int) -> np.ndarray:
 
 
 def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
-                   seed: int, gd_tol: float = _DEFAULT_GD_TOL,
-                   params_doc: dict | None = None) -> SampleBatch:
+                   seed: int, gd_tol: float = _DEFAULT_GD_TOL) -> SampleBatch:
     """Generate a SampleBatch from MD(sigma) by the named method.
 
     SN and TA use ``k`` as their tuning parameter. DS on a finite-support
@@ -437,6 +430,4 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
     if method != "DS" and sigma.variant == FINITE:
         sigma._atom_sampler  # build the guide table once, not in each chunk
     data = _run_chunks(draw, n_reps, seed)
-    doc = json.dumps(params_doc, sort_keys=True) if params_doc else ""
-    return SampleBatch(data=data, method=method, k=k, n_reps=n_reps,
-                       seed=seed, params=doc)
+    return SampleBatch(data=data, method=method, k=k, n_reps=n_reps, seed=seed)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import FINITE, SpectralMeasure
+from .measures import FINITE, SpectralMeasure, _lock
 from .moments import MomentSummary
 from .samplers import fixed_point_map, sample_ds_batch
 
@@ -57,9 +57,7 @@ class ErrorReport:
             raise ValidationError("components must hold the five squared deviations")
         if abs(self.e_k ** 2 - comp.sum()) > 1e-12 * max(1.0, comp.sum()):
             raise ValidationError("e_k^2 must equal the sum of the components")
-        comp = np.array(comp)
-        comp.flags.writeable = False
-        object.__setattr__(self, "components", comp)
+        object.__setattr__(self, "components", _lock(comp))
 
 
 def error_metric(emp: MomentSummary, truth: MomentSummary,

@@ -295,16 +295,6 @@ class TestBDLM:
         draws = bd.base_sampler(np.random.default_rng(5), 1000)
         assert set(np.unique(draws)) <= {0.0, 1.0}
 
-    def test_log_moment_alpha_recorded(self):
-        bd = mv.BDLM.from_atoms([[1.0]], [1.0], log_moment_alpha=2.5)
-        assert bd.log_moment_alpha == 2.5
-        with pytest.raises(ValidationError):
-            mv.BDLM.from_atoms([[1.0]], [1.0], log_moment_alpha=0.0)
-
-    def test_sphere_supported_flag(self):
-        assert mv.BDLM.from_spectral(mv.evenly_spaced_spectral(3)).sphere_supported
-        assert not mv.BDLM.from_atoms([[2.0]], [1.0]).sphere_supported
-
 
 class TestMdFromSpectral:
     def test_point_mass(self):

@@ -122,6 +122,23 @@ class TestMdMoments:
         np.testing.assert_allclose(s.mean, [1.0, 0.0])
         np.testing.assert_allclose(s.cov, [[0.5, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("make_sigma", [
+        lambda: mv.SpectralMeasure.from_angles(
+            np.random.default_rng(11).random(200) * 2 * np.pi,
+            np.random.default_rng(12).random(200) + 0.1),
+        lambda: mv.SpectralMeasure.beta(2.0, 5.0),      # Gauss-Kronrod
+        lambda: mv.SpectralMeasure.beta(0.2, 0.3),      # QAWS
+        lambda: mv.SpectralMeasure.from_sampler(
+            1.5, 2, lambda r, n: np.tile([1.0, 0.0], (n, 1)),
+            moment_data=([0.9, 0.3], [[0.8, 0.1], [0.1, 0.7]])),
+    ], ids=["finite-r200", "beta(2,5)", "beta(0.2,0.3)", "sampler"])
+    def test_is_exactly_the_lstar_1_case(self, make_sigma):
+        sigma = make_sigma()
+        a = mv.md_moments(sigma)
+        b = mv.lstar_moments(mv.md_from_spectral(sigma))
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.cov, b.cov)
+
 
 class TestBetaSpectralMoments:
     def test_uniform_case_exact(self):
@@ -225,6 +242,19 @@ class TestBetaMomentOracle:
         # QAWS returns NaN with a NaN error estimate at (0.05, 2000)
         with pytest.raises(QuadratureError):
             mv.md_moments(mv.SpectralMeasure.beta(0.05, 2000.0, 1.0))
+
+    def test_underflowed_density_raises_rather_than_returning_zeros(self):
+        # (2 pi)^(1 - a - b) underflows to 0 at (300, 300): the cos^2 and
+        # sin^2 integrals then miss the mass, which the angular path checks
+        with pytest.raises(QuadratureError):
+            mv.md_moments(mv.SpectralMeasure.beta(300.0, 300.0, 1.0))
+
+    @pytest.mark.parametrize("ab", [(50.0, 50.0), (150.0, 150.0)])
+    def test_concentrated_shapes_pass_the_mass_check(self, ab):
+        s = mv.md_moments(mv.SpectralMeasure.beta(*ab, 1.0))
+        mean, cov = _hyp1f1_moments(*ab, 1.0)
+        np.testing.assert_allclose(s.mean, mean, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(s.cov, cov, atol=1e-12, rtol=0)
 
 
 def _tail_mass_quadrature(radius, weight, alpha, eps):
