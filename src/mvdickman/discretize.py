@@ -83,10 +83,13 @@ def discretize_angular(sigma: SpectralMeasure,
     samplers never see a zero rate. Raises if the summed atom mass drifts
     from the total mass by more than 1e-9.
 
-    Known limit: the per-cell quadrature has no rule for an integrable
-    endpoint singularity, so a non-beta density with one can raise
-    QuadratureError; the beta(0.2, 0.3) density wrapped as a plain angular
-    density does at k = 1 (summed estimate 8.3e-10 > 1e-10).
+    A cell with pi strictly inside it is integrated as two panels split at
+    pi, as ``integrate_angular`` does, so no single QUADPACK call holds both
+    ends of [0, 2*pi] (where a wrapped beta density is singular). Known
+    limit: the per-cell quadrature has no rule for an integrable endpoint
+    singularity, so a strong one (the beta(0.05, 0.05) density wrapped as a
+    plain angular density) misses the error budget and raises
+    QuadratureError.
     """
     if sigma.variant != ANGULAR or sigma.density is None:
         raise ValidationError("discretize_angular needs an angular-density measure")
@@ -129,11 +132,14 @@ def _quadrature_cell_masses(density, grid: DiscretizationGrid) -> np.ndarray:
     err_total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        for i in range(grid.k):
-            v, e = _integrate.quad(density, grid.cuts[i], grid.cuts[i + 1],
-                                   epsabs=1e-12, epsrel=1e-12, limit=200)
-            masses[i] = v
-            err_total += e
+        for i, (lo, hi) in enumerate(zip(grid.cuts[:-1], grid.cuts[1:])):
+            panels = ((lo, np.pi), (np.pi, hi)) if lo < np.pi < hi else ((lo, hi),)
+            masses[i] = 0.0
+            for a, b in panels:
+                v, e = _integrate.quad(density, a, b,
+                                       epsabs=1e-12, epsrel=1e-12, limit=200)
+                masses[i] += v
+                err_total += e
     if err_total > 1e-10 * max(1.0, grid.k / 4):
         raise QuadratureError(
             f"cell-mass quadrature reached abs error {err_total:.3e}",

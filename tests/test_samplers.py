@@ -214,9 +214,17 @@ def _loop_gd(theta, tol, n, rng):
     return out
 
 
+#: the GD theta at which ``_sn_weights`` starts to mask underflowing lanes
+_SWITCH_THETA = -math.log(mv.samplers._UNDERFLOW_SWITCH) / 750.0
+
+
 class TestStreamsPinned:
     MODELS = {"finite": mv.evenly_spaced_spectral(7),
               "beta": mv.SpectralMeasure.beta(2.0, 5.0)}
+    # end-cell masses down to 1.9e-11: nearly every GD lane underflows
+    DS_MODELS = {"finite": MODELS["finite"],
+                 "beta-k200": mv.discretize_angular(MODELS["beta"],
+                                                    mv.default_grid(200))}
 
     @staticmethod
     def _same(run, ref, seed):
@@ -239,13 +247,17 @@ class TestStreamsPinned:
         self._same(lambda r: mv.sample_ta_batch(alpha, draw, 1.3, n, 1001, r),
                    lambda r: _loop_ta(alpha, draw, 1.3, n, 1001, r), 12)
 
-    @pytest.mark.parametrize("theta", [1.0, 0.005, 3.7])
+    @pytest.mark.parametrize("theta", [
+        1.0, 0.005, 3.7, 1e-12, 1e-6, 1e-3,
+        pytest.param(0.9 * _SWITCH_THETA, id="masked-side-of-switch"),
+        pytest.param(1.1 * _SWITCH_THETA, id="unmasked-side-of-switch")])
     def test_gd(self, theta):
         self._same(lambda r: mv.sample_gd_batch(theta, 1e-12, 2003, r),
                    lambda r: _loop_gd(theta, 1e-12, 2003, r), 13)
 
-    def test_ds_is_gd_per_atom(self):
-        sigma = self.MODELS["finite"]
+    @pytest.mark.parametrize("model", list(DS_MODELS))
+    def test_ds_is_gd_per_atom(self, model):
+        sigma = self.DS_MODELS[model]
 
         def ref(r):
             return sum(_loop_gd(a, 1e-12, 500, r)[:, None] * s
@@ -258,6 +270,24 @@ class TestStreamsPinned:
                                np.random.default_rng(15))
         np.testing.assert_array_equal(shared, 1.0)
         assert x.min() > 0.0
+
+
+class TestPowUnderflowPremise:
+    """``_sn_weights`` replaces U^(1/theta) by +0 for U < exp(-750 theta)
+    without computing it. That keeps the streams only if pow itself returns
+    +0 there (not -0, not a subnormal); a NumPy or libm that did otherwise
+    must fail here, not move a stream unseen."""
+
+    def test_power_below_cut_is_plus_zero(self):
+        rng = np.random.default_rng(16)
+        for theta in np.geomspace(1e-12, 1.0, 400):
+            cut = math.exp(-750.0 * theta)
+            # an array, so the power runs NumPy's vector loop as the sampler's does
+            x = np.concatenate([[0.0, 5e-324, np.nextafter(cut, 0.0)],
+                                cut * rng.random(253)])
+            x = x[(x < cut) | (x == 0.0)]
+            y = x ** (1.0 / theta)
+            assert np.all(y == 0.0) and not np.signbit(y).any(), theta
 
 
 class TestFixedPointMap:
