@@ -10,15 +10,13 @@ approximating MD laws converge weakly to the target as the grid refines.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy.special import betainc
 
 from .errors import QuadratureError, ValidationError
 from .measures import ANGULAR, TWO_PI, SpectralMeasure, _lock
+from .moments import _quadpack
 
 _MASS_TOL = 1e-9
 
@@ -118,6 +116,8 @@ def _beta_cell_masses(a: float, b: float, theta: float,
     to 2pi do not lose digits to a difference of two values near 1. The upper
     tail takes 1 - x = (2pi - d)/2pi as computed, not 1 - fl(x), whose
     rounding would cost a 1e-9 cell next to 2pi seven of its digits."""
+    from scipy.special import betainc
+
     x = cuts / TWO_PI
     x_up = (TWO_PI - cuts) / TWO_PI
     x[0], x[-1] = 0.0, 1.0
@@ -130,14 +130,12 @@ def _beta_cell_masses(a: float, b: float, theta: float,
 def _quadrature_cell_masses(density, grid: DiscretizationGrid) -> np.ndarray:
     masses = np.empty(grid.k)
     err_total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
+    with _quadpack() as quad:
         for i, (lo, hi) in enumerate(zip(grid.cuts[:-1], grid.cuts[1:])):
             panels = ((lo, np.pi), (np.pi, hi)) if lo < np.pi < hi else ((lo, hi),)
             masses[i] = 0.0
             for a, b in panels:
-                v, e = _integrate.quad(density, a, b,
-                                       epsabs=1e-12, epsrel=1e-12, limit=200)
+                v, e = quad(density, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
                 masses[i] += v
                 err_total += e
     if err_total > 1e-10 * max(1.0, grid.k / 4):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -208,20 +209,37 @@ class SpectralMeasure:
 
         Density on [0, 2*pi): mass * (2*pi)^(1-a-b) / B(a,b) * x^(a-1) (2*pi-x)^(b-1),
         uniform when a == b == 1.
+
+        Above a + b = 386.4, (2*pi)^(1-a-b) is below the smallest normal
+        float, so it keeps a few bits or none (B(a, b) follows, from
+        a + b = 1020 at a = b). When either is, the density is taken in log
+        space instead, as
+        mass / (2*pi) * exp((a-1) log u + (b-1) log(1-u) - log B(a, b))
+        with u = x / (2*pi); ``xlogy`` keeps 0 * log 0 = 0 at a = 1 or
+        b = 1. Every other shape uses the first form, bit for bit.
         """
         from scipy.special import beta as beta_fn
+        from scipy.special import betaln, xlog1py, xlogy
 
         if not (0 < a < math.inf and 0 < b < math.inf):
             raise ValidationError("beta parameters must be finite and > 0")
         if mass <= 0 or not math.isfinite(mass):
             raise ValidationError("total mass must be finite and > 0")
-        norm = mass * TWO_PI ** (1.0 - a - b) / beta_fn(a, b)
+        power, beta_ab = TWO_PI ** (1.0 - a - b), beta_fn(a, b)
 
-        def density(x, _n=norm, _a=a, _b=b):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore", over="ignore"):
-                out = _n * x ** (_a - 1.0) * (TWO_PI - x) ** (_b - 1.0)
-            return out
+        if min(power, beta_ab) >= sys.float_info.min:
+            def density(x, _n=mass * power / beta_ab, _a=a, _b=b):
+                x = np.asarray(x, dtype=float)
+                with np.errstate(divide="ignore", over="ignore"):
+                    out = _n * x ** (_a - 1.0) * (TWO_PI - x) ** (_b - 1.0)
+                return out
+        else:
+            def density(x, _n=mass / TWO_PI, _log_b=betaln(a, b), _a=a, _b=b):
+                u = np.asarray(x, dtype=float) / TWO_PI
+                with np.errstate(divide="ignore", over="ignore"):
+                    out = _n * np.exp(xlogy(_a - 1.0, u) + xlog1py(_b - 1.0, -u)
+                                      - _log_b)
+                return out
 
         if a == 1.0 and b == 1.0:
             def angle_sampler(rng, n):

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc, gammaincc
 
 from .errors import QuadratureError, UnsupportedMeasureError, ValidationError
 from .measures import (_MASS_CHECK_TOL, ANGULAR, FINITE, TWO_PI, BDLM,
@@ -101,6 +99,23 @@ class MomentSummary:
 # quadrature against an angular density
 # --------------------------------------------------------------------------
 
+@contextmanager
+def _quadpack():
+    """Yield ``scipy.integrate.quad`` with its IntegrationWarning silenced.
+
+    Every quadrature of the package imports ``scipy.integrate`` here, on
+    first use, so that importing the package or running a finite model
+    never loads it. Callers check QUADPACK's error estimates themselves.
+    One block should cover all of a function's ``quad`` calls, since each
+    warnings filter costs a few microseconds.
+    """
+    from scipy import integrate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        yield integrate.quad
+
+
 def integrate_angular(g, density, tol: float = _QUAD_TOL) -> float:
     """Integrate g(phi) * density(phi) over [0, 2*pi) to absolute tolerance.
 
@@ -114,11 +129,10 @@ def integrate_angular(g, density, tol: float = _QUAD_TOL) -> float:
     """
     total = 0.0
     err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+    with _quadpack() as quad:
         for lo, hi in ((0.0, math.pi), (math.pi, TWO_PI)):
-            v, e = integrate.quad(lambda x: g(x) * density(x), lo, hi,
-                                  epsabs=tol / 4, epsrel=1e-12, limit=400)
+            v, e = quad(lambda x: g(x) * density(x), lo, hi,
+                        epsabs=tol / 4, epsrel=1e-12, limit=400)
             total += v
             err += e
     if not err <= tol:  # a NaN estimate fails too
@@ -146,12 +160,11 @@ def _beta_functionals(a: float, b: float, mass: float, tol: float = _QUAD_TOL):
     (0.5, 1000). Each scaled error estimate must be <= tol, or
     QuadratureError is raised.
     """
-    def integral(g, epsabs, epsrel):
-        return integrate.quad(g, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0),
-                              epsabs=epsabs, epsrel=epsrel, limit=400)
+    with _quadpack() as quad:
+        def integral(g, epsabs, epsrel):
+            return quad(g, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0),
+                        epsabs=epsabs, epsrel=epsrel, limit=400)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
         z, e = integral(np.ones_like, 0.0, 1e-13)
         scale = mass / z
         values, errs = [], [scale * e]
@@ -231,6 +244,8 @@ def lstar_moments(params: LStarParams) -> MomentSummary:
         E[X]   = gamma + Gamma(alpha) * integral of y dnu
         cov(X) = Gamma(alpha) / 2^alpha * integral of y y^T dnu
     """
+    from scipy.special import gamma as gamma_fn
+
     first, second = bdlm_integrals(params.bdlm)
     g = gamma_fn(params.alpha)
     mean = params.gamma + g * first
@@ -294,6 +309,9 @@ def malpha_radial_moment(params: LStarParams, p: float, region: str) -> float:
         inside:  w |y|^p p^-alpha GammaUpper(alpha, p*max(0, log|y|))
         outside: w |y|^p p^-alpha GammaLower(alpha, p*log|y|)   for |y| > 1.
     """
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import gammainc, gammaincc
+
     if p <= 0 or not math.isfinite(p):
         raise ValidationError("p must be finite and > 0")
     if region not in (INSIDE, OUTSIDE):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .discretize import default_grid, discretize_angular
 from .harness import ExperimentConfig, rows_to_csv, run_experiment, substream_seed
@@ -76,6 +75,8 @@ def _check_discretization(seed, _n):
 
 
 def _check_tail_mass(seed, _n):
+    from scipy import integrate  # an independent reference, not _quadpack
+
     sigma = SpectralMeasure.from_angles([0.0], [1.0])
     params = md_from_spectral(sigma)
     worst = 0.0
