@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 from .discretize import default_grid, discretize_angular
+from .errors import (ConfigurationError, QuadratureError, UnsupportedMeasureError,
+                     ValidationError)
 from .harness import (_fmt, emit_plot_data, experiment_from_file,
                       rows_to_csv, run_experiment)
 from .measures import spectral_from_json, spectral_to_json
@@ -153,8 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run one subcommand. A package error is printed as one line,
+    ``mvdickman: error: ...``, with exit status 2, as argparse reports bad
+    arguments."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ConfigurationError, QuadratureError, UnsupportedMeasureError,
+            ValidationError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, UnsupportedMeasureError, ValidationError
-from .measures import FINITE, model_label, spectral_from_json
+from .measures import model_label, spectral_from_json
 from .moments import MomentSummary, md_moments
-from .samplers import _CHUNK, generate_batch, gd_truncation_terms, ta_term_count
+from .samplers import _is_int, check_cell_work, generate_batch, series_terms
 from .stats import empirical_moments, error_metric
 
 METHODS = ("SN", "TA", "DS")
@@ -30,19 +30,10 @@ METHODS = ("SN", "TA", "DS")
 #: log-ish thinning of a 1..200 sweep; keeps a full sweep at desk scale
 DEFAULT_K_GRID = (1, 2, 5, 10, 20, 50, 100, 150, 200)
 
-#: most replication-terms (series terms x max(n_reps, 8192)) one cell may
-#: need: under half an hour at the 30-170 ns a replication-term takes on a
-#: 2-core x86 VM
-MAX_CELL_WORK = 10 ** 10
-
 CSV_COLUMNS = ("model", "method", "k", "n_reps", "seed", "e_k",
                "xbar1", "xbar2", "s1sq", "s2sq", "s12",
                "m1", "m2", "var1", "var2", "cov12", "runtime_ms")
 CSV_HEADER = ",".join(CSV_COLUMNS)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -90,21 +81,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"out must be a path string or null, got {self.out!r}")
         if not isinstance(self.timing, bool):
             raise ConfigurationError(f"timing must be true or false, got {self.timing!r}")
-        # series terms per replication in the largest cell of each method; for DS
-        # on an angular model an upper bound, as k atoms have mass <= theta each
-        # and the GD term count grows with the mass
-        k = k_grid[-1]
-        ds = (sum(gd_truncation_terms(a, self.gd_tol) for a in sigma.masses)
-              if sigma.variant == FINITE else k * gd_truncation_terms(sigma.mass, self.gd_tol))
-        cell_terms = {"SN": k, "TA": ta_term_count(1.0, sigma.mass, k), "DS": ds}
-        # a term costs a chunk's worth of interpreter time however few
-        # replications it runs, so it is charged at least _CHUNK of them
-        terms = max(cell_terms[m] for m in methods)
-        reps = max(self.n_reps, _CHUNK)
-        if terms * reps > MAX_CELL_WORK:
-            raise ConfigurationError(
-                f"the largest cell needs {terms} terms x {reps} replications "
-                f"(at least {_CHUNK} are charged), over the budget of {MAX_CELL_WORK:.0e}")
+        try:  # the largest cell of each method
+            check_cell_work(max(series_terms(m, sigma, k_grid[-1], self.gd_tol)
+                                for m in methods), self.n_reps)
+        except ValidationError as exc:
+            raise ConfigurationError(str(exc)) from exc
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "k_grid", k_grid)
 

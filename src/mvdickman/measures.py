@@ -44,13 +44,18 @@ def angle_to_direction(phi):
     Angles outside [0, 2*pi) are reduced modulo 2*pi rather than rejected.
     Accepts a scalar or an array; returns shape (2,) or (n, 2).
     """
+    phi = _reduce_angles(phi)
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def _reduce_angles(phi):
+    """``phi`` as a float array reduced modulo 2*pi."""
     phi = np.asarray(phi, dtype=float)
     # the reduction returns every angle in (0, 2*pi) unchanged, so skip its
     # copy then; zeros (-0.0 becomes +0.0), NaN and the rest still take it
     if not (phi.size and 0.0 < phi.min() and phi.max() < TWO_PI):
         phi = phi % TWO_PI
-    out = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    return out
+    return phi
 
 
 def _as_unit_directions(directions, dim=None):
@@ -97,7 +102,8 @@ class _AtomSampler:
     ``points[rng.choice(len(p), size=n, p=p)]``. The table replaces the binary
     search by one lookup: with M a power of two, ``floor(u * M)`` and
     ``b / M`` are exact, and bucket b starts the search at the first cut
-    point above ``b / M``.
+    point above ``b / M``. The draws are gathered from a (d, r) copy of the
+    points and returned as the (n, d) transpose of a C-ordered (d, n) array.
     """
 
     def __init__(self, points, weights, total):
@@ -113,7 +119,7 @@ class _AtomSampler:
                 f"{total!r} within a relative {_PROB_SUM_TOL:.2g}")
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        self.points = points
+        self.columns = np.ascontiguousarray(np.transpose(points))
         self.cdf = cdf
         self.buckets = 1 << (4 * len(p) - 1).bit_length()
         self.lo = cdf.searchsorted(np.arange(self.buckets) / self.buckets, "right")
@@ -128,7 +134,7 @@ class _AtomSampler:
         while i.size:
             idx[i] += 1
             i = i[cdf.take(idx[i]) <= u[i]]
-        return self.points.take(idx, axis=0)
+        return self.columns.take(idx, axis=1).T
 
 
 @dataclass(frozen=True)
@@ -310,6 +316,10 @@ class SpectralMeasure:
         ``directions[rng.choice(len(p), size=n, p=masses / mass)]``. The first
         draw checks the atoms and raises ValidationError on non-finite
         directions or masses that do not sum to ``mass``.
+
+        Finite and angular draws are returned as the (n, d) transpose of a
+        C-ordered (d, n) array, so that the series kernels read and multiply
+        each coordinate as one contiguous row.
         """
         if self.variant == FINITE:
             return self._atom_sampler(rng, n)
@@ -319,7 +329,11 @@ class SpectralMeasure:
                     "this angular measure carries no angle sampler; attach one "
                     "to construct draws"
                 )
-            return angle_to_direction(self.angle_sampler(rng, n))
+            phi = _reduce_angles(self.angle_sampler(rng, n))
+            s = np.empty((2, n))
+            np.cos(phi, out=s[0])
+            np.sin(phi, out=s[1])
+            return s.T
         s = np.asarray(self.direction_sampler(rng, n), dtype=float).reshape(n, self.dim)
         norms = np.linalg.norm(s, axis=1)
         if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):

@@ -21,17 +21,22 @@ multi-chunk batch run on one per-process thread pool with a thread per usable
 CPU, since NumPy's generator fills and ufuncs release the GIL; the rows are
 joined in chunk order, so the output does not depend on the thread count.
 
-SN, TA and the generalized Dickman (GD) draws behind DS sum one weighted
-series sum_i w_i Y_i in the private kernel ``_series``; only the weights
-(``_sn_weights``, ``_ta_weights``) and the summands Y_i differ.
+SN and TA sum one weighted series sum_i w_i Y_i in the private kernel
+``_series``; only the weights (``_sn_weights``, ``_ta_weights``) differ. The
+generalized Dickman (GD) draws behind DS are the same series for a unit point
+mass, Y_i = 1, with SN's alpha = 1 weights.
 
-Two bit-exact shortcuts keep DS fast. The end cells of a discretized beta
-model have masses down to about 1e-11, so U^(1/theta) underflows on most
-lanes, and pow spends about 135 ns on each to return +0; ``_sn_weights``
-keeps such lanes off pow's slow path. And DS adds y * s_i to its output one
-coordinate at a time: the same products and additions, in the same order,
-as ``out += y[:, None] * s_i``, which NumPy runs as one inner loop of
-length d per row.
+The kernels make few, long NumPy calls per term, each bit for bit the
+per-term arithmetic. ``sample_gd_batch`` draws its uniforms as (b, n) blocks
+of at most ``_BLOCK`` elements, the same stream as b calls of
+``random(n)``, and raises a block to its power in one call. Directions and
+sums are coordinate-major: the package's direction samplers return the
+(n, d) transpose of a C-ordered (d, n) array, and SN, TA and DS add each
+term into a (d, n) buffer with one multiply and one add whose inner loops
+run over the n rows; only the returned (n, d) batch is C-ordered. And the
+end cells of a discretized beta model have masses down to about 1e-11, so
+U^(1/theta) underflows on most lanes, and pow spends about 135 ns on each to
+return +0; ``_uniform_powers`` keeps such lanes off pow's slow path.
 
 Normalization note: the shot-noise weights used here are
 ``exp(-(alpha * Gamma_i / (T * theta))^(1/alpha))`` with unit-rate arrival
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -75,6 +81,15 @@ _UNDERFLOW_SWITCH = 1e-2
 #: At 8192 rows one term's temporaries (64-128 KiB) stay in L2, and a NumPy
 #: call is long enough that threads do not spend it handing over the GIL.
 _CHUNK = 8192
+
+#: most replication-terms (series terms x max(n_reps, _CHUNK)) one cell may
+#: need: under half an hour at the 30-170 ns a replication-term takes on a
+#: 2-core x86 VM
+MAX_CELL_WORK = 10 ** 10
+
+#: most uniforms a GD series draws in one block: 8 terms of a chunk, 512 KiB.
+#: At 2^18 a chunk ran no faster and a sweep's peak RSS rose by 5%.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -178,25 +193,40 @@ def sample_gd_batch(theta: float, tol: float, n: int, rng: np.random.Generator) 
     Returns sum_{i=1..k} (U_1 ... U_i)^(1/theta) with k from
     ``gd_truncation_terms``, so the expected absolute truncation error is at
     most ``tol``: the alpha = 1 shot-noise series of a unit point mass.
+
+    The uniforms are drawn as (b, n) blocks of at most ``_BLOCK`` elements
+    (one row if n is larger), the same stream as b calls of ``random(n)``,
+    and raised to 1/theta once per block; the running product and the sum
+    then take one row at a time, in term order, as the per-term series does.
+    No block reaches past term k.
     """
-    return _series(_sn_weights(1.0, theta, n, rng), gd_truncation_terms(theta, tol),
-                   None, rng, np.zeros(n))
+    terms = gd_truncation_terms(theta, tol)
+    rows = max(min(terms, _BLOCK // max(n, 1)), 1)
+    block, low = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
+    w, out = np.ones(n), np.zeros(n)
+    for start in range(0, terms, rows):
+        u = _uniform_powers(rng.random(out=block[:terms - start]), theta,
+                            low[:terms - start])
+        # row by row: np.multiply.accumulate and np.add.accumulate along
+        # axis 0 of a (6, 8192) block took ten times as long
+        for row in u:
+            out += np.multiply(w, row, out=w)
+    return out
 
 
 # --------------------------------------------------------------------------
-# the weighted series shared by SN, TA and GD
+# the weighted series shared by SN and TA
 # --------------------------------------------------------------------------
 
 def _series(weights, terms, draw, rng, out):
-    """Add the first ``terms`` terms w_i * Y_i to ``out`` and return it: w_i
-    from the ``weights`` generator, then Y_i = ``draw(rng, n)``, or 1 with
-    ``draw`` None. Y_i is only read, as a sampler may return a shared array."""
-    buf = None if draw is None else np.empty_like(out)
+    """Add the first ``terms`` terms w_i * Y_i to the (d, n) array ``out`` and
+    return it: w_i from the ``weights`` generator, then the (n, d) array
+    Y_i = ``draw(rng, n)``, read through its (d, n) transpose, which is
+    C-ordered for the package's direction samplers. Y_i is only read, as a
+    sampler may return a shared array."""
+    buf = np.empty_like(out)
     for w in itertools.islice(weights, terms):
-        if draw is None:
-            out += w
-        else:
-            out += np.multiply(w[:, None], draw(rng, len(w)), out=buf)
+        out += np.multiply(draw(rng, len(w)).T, w, out=buf)
     return out
 
 
@@ -207,30 +237,35 @@ def _epoch_weights(g, alpha, t_theta, out):
     return np.exp(np.negative(out, out=out), out=out)
 
 
-def _sn_weights(alpha, t_theta, n, rng):
-    """Yield the shot-noise weights of terms 1, 2, ..., in one (n,) buffer.
-    At alpha = 1, exp(-Gamma_i / t_theta) is drawn as a running product of
-    U^(1/t_theta), the same law without exponentials.
+def _uniform_powers(u, t_theta, low):
+    """Raise the uniforms ``u`` to 1/t_theta in place and return them; ``low``
+    is a bool scratch array of u's shape.
 
     For U < cut = exp(-750 * t_theta) the exact U^(1/t_theta) is below
     e^-750 < 2^-1082, under half the smallest subnormal, so pow rounds it to
     +0 (a test checks that the installed pow does). Once cut, the share of
     such lanes, passes ``_UNDERFLOW_SWITCH``, they are set to 1 before the
     power and to 1 - 1 = +0 after it: the same bits, on pow's fast path."""
+    cut = math.exp(-750.0 * t_theta)
+    if cut > _UNDERFLOW_SWITCH:
+        np.less(u, cut, out=low)
+        np.maximum(u, low, out=u)
+        u **= 1.0 / t_theta
+        np.subtract(u, low, out=u)
+    else:
+        u **= 1.0 / t_theta
+    return u
+
+
+def _sn_weights(alpha, t_theta, n, rng):
+    """Yield the shot-noise weights of terms 1, 2, ..., in one (n,) buffer.
+    At alpha = 1, exp(-Gamma_i / t_theta) is drawn as a running product of
+    U^(1/t_theta), the same law without exponentials."""
     w, u = np.ones(n), np.empty(n)
     if alpha == 1.0:
-        cut = math.exp(-750.0 * t_theta)
-        low = np.empty(n, dtype=bool) if cut > _UNDERFLOW_SWITCH else None
+        low = np.empty(n, dtype=bool)
         while True:
-            rng.random(out=u)
-            if low is None:
-                u **= 1.0 / t_theta
-            else:
-                np.less(u, cut, out=low)
-                np.maximum(u, low, out=u)
-                u **= 1.0 / t_theta
-                np.subtract(u, low, out=u)
-            w *= u
+            w *= _uniform_powers(rng.random(out=u), t_theta, low)
             yield w
     g = np.zeros(n)
     while True:
@@ -268,8 +303,9 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
     if T <= 0:
         raise ValidationError("T must be > 0")
     weights = _sn_weights(params.alpha, T * params.bdlm.theta, n, rng)
-    return _series(weights, k, params.bdlm.base_sampler, rng,
-                   np.tile(T * params.gamma, (n, 1)))
+    out = np.empty((params.dim, n))
+    out[...] = (T * params.gamma)[:, None]
+    return np.ascontiguousarray(_series(weights, k, params.bdlm.base_sampler, rng, out).T)
 
 
 def sample_levy_path(params: LStarParams, T: float, k: int,
@@ -305,7 +341,11 @@ def ta_term_count(alpha: float, c: float, n: int) -> int:
         raise ValidationError("n must be >= 1")
     if alpha <= 0 or c <= 0:
         raise ValidationError("alpha and c must be > 0")
-    return int(math.floor(c * float(n) ** alpha / alpha))
+    try:
+        return int(math.floor(c * float(n) ** alpha / alpha))
+    except OverflowError:
+        raise ValidationError(
+            f"the TA array for c={c!r}, n={n!r} needs over 1e308 terms") from None
 
 
 def sample_ta_batch(alpha: float, nu0_sampler, c: float, n: int, n_reps: int,
@@ -328,8 +368,9 @@ def sample_ta_batch(alpha: float, nu0_sampler, c: float, n: int, n_reps: int,
     def draw(rng, m):
         return np.asarray(nu0_sampler(rng, m), dtype=float).reshape(m, d)
 
-    return _series(_ta_weights(alpha, float(n), n_reps, rng), terms, draw, rng,
-                   np.zeros((n_reps, d)))
+    out = _series(_ta_weights(alpha, float(n), n_reps, rng), terms, draw, rng,
+                  np.zeros((d, n_reps)))
+    return np.ascontiguousarray(out.T)
 
 
 # --------------------------------------------------------------------------
@@ -347,12 +388,11 @@ def sample_ds_batch(sigma_k: SpectralMeasure, gd_tol: float, n_reps: int,
         raise UnsupportedMeasureError(
             "the DS sampler needs a finite-support spectral measure; "
             "discretize the measure first")
-    out, tmp = np.zeros((n_reps, sigma_k.dim)), np.empty(n_reps)
+    out, tmp = np.zeros((sigma_k.dim, n_reps)), np.empty((sigma_k.dim, n_reps))
     for s_i, a_i in zip(sigma_k.directions, sigma_k.masses):
         y = sample_gd_batch(float(a_i), gd_tol, n_reps, rng)
-        for j, s in enumerate(s_i):
-            out[:, j] += np.multiply(y, s, out=tmp)
-    return out
+        out += np.multiply(s_i[:, None], y, out=tmp)
+    return np.ascontiguousarray(out.T)
 
 
 # --------------------------------------------------------------------------
@@ -423,6 +463,36 @@ def _run_chunks(draw, n_reps: int, seed: int) -> np.ndarray:
     return np.concatenate(list(parts))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def series_terms(method: str, sigma: SpectralMeasure, k: int, gd_tol: float) -> int:
+    """Series terms per replication of the ``generate_batch(method, sigma, k)``
+    cell: k for SN, floor(mass * k) for TA, and for DS the GD terms summed
+    over sigma's atoms. For DS on a measure that is not finite it is an upper
+    bound, as the k atoms of its discretization have mass <= sigma.mass each
+    and the GD term count grows with the mass."""
+    if method == "SN":
+        return k
+    if method == "TA":
+        return ta_term_count(1.0, sigma.mass, k)
+    if sigma.variant == FINITE:
+        return sum(gd_truncation_terms(float(a), gd_tol) for a in sigma.masses)
+    return k * gd_truncation_terms(sigma.mass, gd_tol)
+
+
+def check_cell_work(terms: int, n_reps: int) -> None:
+    """Raise ValidationError when ``terms`` series terms on ``n_reps`` rows are
+    over ``MAX_CELL_WORK``. A term costs a chunk's worth of interpreter time
+    however few rows it runs, so at least ``_CHUNK`` rows are charged."""
+    reps = max(n_reps, _CHUNK)
+    if terms * reps > MAX_CELL_WORK:
+        raise ValidationError(
+            f"a cell of {terms} series terms x {reps} replications (at least "
+            f"{_CHUNK} are charged) is over the budget of {MAX_CELL_WORK:.0e}")
+
+
 def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
                    seed: int, gd_tol: float = _DEFAULT_GD_TOL) -> SampleBatch:
     """Generate a SampleBatch from MD(sigma) by the named method.
@@ -433,18 +503,30 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
     measures cannot be run through DS.
 
     The rows are drawn in chunks of ``_CHUNK`` rows, each from its own
-    substream of ``seed`` (see the module docstring).
+    substream of ``seed`` (see the module docstring). ``k`` and ``n_reps``
+    must be integers >= 0 and ``seed`` one in [0, 2^64); a cell over
+    ``MAX_CELL_WORK`` (see ``check_cell_work``) raises ValidationError
+    before any work is done.
     """
     from .measures import md_from_spectral
     from .discretize import default_grid, discretize_angular
 
+    if method not in ("SN", "TA", "DS"):
+        raise ValidationError(f"unknown method {method!r}")
+    if not (_is_int(k) and k >= 0):
+        raise ValidationError(f"k must be an integer >= 0, got {k!r}")
+    if not (_is_int(n_reps) and n_reps >= 0):
+        raise ValidationError(f"n_reps must be an integer >= 0, got {n_reps!r}")
+    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
+        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    check_cell_work(series_terms(method, sigma, k, gd_tol), n_reps)
     if method == "SN":
         params = md_from_spectral(sigma)
         draw = lambda m, rng: sample_sn_batch(params, k, m, rng)
     elif method == "TA":
         draw = lambda m, rng: sample_ta_batch(1.0, sigma.sample_directions,
                                               sigma.mass, k, m, rng)
-    elif method == "DS":
+    else:
         if sigma.variant == FINITE:
             k = 0
         elif sigma.density is not None:
@@ -454,8 +536,6 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
                 "DS needs a finite-support or angular-density measure; run "
                 "the discretize step first")
         draw = lambda m, rng: sample_ds_batch(sigma, gd_tol, m, rng)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
     if method != "DS" and sigma.variant == FINITE:
         sigma._atom_sampler  # build the guide table once, not in each chunk
     data = _run_chunks(draw, n_reps, seed)

@@ -310,6 +310,21 @@ class TestCli:
         assert lines[0] == "x1,x2"
         assert len(lines) == 51
 
+    @pytest.mark.parametrize("args, message", [
+        (["--k", "1000000000", "-n", "10"], "budget"),
+        (["-n", "-5"], "n_reps must be an integer >= 0"),
+        (["--seed", "-1"], "seed must be an integer in"),
+    ])
+    def test_package_errors_are_one_line(self, tmp_path, capsys, args, message):
+        from mvdickman.cli import main
+
+        model = self._write_model(tmp_path)
+        assert main(["sample", "--model", str(model), "--method", "SN", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mvdickman: error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
     def test_experiment_subcommand_with_override(self, tmp_path, capsys):
         from mvdickman.cli import main
 

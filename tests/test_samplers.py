@@ -116,6 +116,8 @@ class TestSampleTa:
         assert mv.ta_term_count(2.0, 1.0, 100) == 5000
         with pytest.raises(ValidationError):
             mv.ta_term_count(1.0, 1.0, 0)
+        with pytest.raises(ValidationError, match="1e308 terms"):
+            mv.ta_term_count(1.0, 1e308, 5)
 
     def test_sampler_called_once_per_term(self):
         calls = []
@@ -214,8 +216,26 @@ def _loop_gd(theta, tol, n, rng):
     return out
 
 
-#: the GD theta at which ``_sn_weights`` starts to mask underflowing lanes
+#: the GD theta at which ``_uniform_powers`` starts to mask underflowing lanes
 _SWITCH_THETA = -math.log(mv.samplers._UNDERFLOW_SWITCH) / 750.0
+
+_GD_THETAS = {"1.0": 1.0, "0.005": 0.005, "3.7": 3.7, "2.0": 2.0, "0.5": 0.5,
+              "1e-12": 1e-12, "1e-06": 1e-6, "0.001": 1e-3,
+              "masked-side-of-switch": 0.9 * _SWITCH_THETA,
+              "unmasked-side-of-switch": 1.1 * _SWITCH_THETA}
+
+#: the GD block holds one row per term up to ``_BLOCK`` elements: 1, a chunk
+#: tail, a chunk, 6 rows that do not divide theta = 1's 40 terms, and one row
+#: per block
+_GD_SIZES = [1, 7808, 8192, 10_000, mv.samplers._BLOCK + 7]
+
+
+def _sized(cases, n0):
+    """``cases`` at the size n0 under their own ids, then at each of
+    ``_GD_SIZES`` under ids that name the size."""
+    return ([pytest.param(v, n0, id=k) for k, v in cases.items()]
+            + [pytest.param(v, n, id=f"{k}-n{n}") for k, v in cases.items()
+               for n in _GD_SIZES])
 
 
 class TestStreamsPinned:
@@ -229,7 +249,9 @@ class TestStreamsPinned:
     @staticmethod
     def _same(run, ref, seed):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        np.testing.assert_array_equal(run(a), ref(b))
+        x = run(a)
+        np.testing.assert_array_equal(x, ref(b))
+        assert x.flags.c_contiguous
         assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("model", ["finite", "beta"])
@@ -247,22 +269,17 @@ class TestStreamsPinned:
         self._same(lambda r: mv.sample_ta_batch(alpha, draw, 1.3, n, 1001, r),
                    lambda r: _loop_ta(alpha, draw, 1.3, n, 1001, r), 12)
 
-    @pytest.mark.parametrize("theta", [
-        1.0, 0.005, 3.7, 1e-12, 1e-6, 1e-3,
-        pytest.param(0.9 * _SWITCH_THETA, id="masked-side-of-switch"),
-        pytest.param(1.1 * _SWITCH_THETA, id="unmasked-side-of-switch")])
-    def test_gd(self, theta):
-        self._same(lambda r: mv.sample_gd_batch(theta, 1e-12, 2003, r),
-                   lambda r: _loop_gd(theta, 1e-12, 2003, r), 13)
+    @pytest.mark.parametrize("theta, n", _sized(_GD_THETAS, 2003))
+    def test_gd(self, theta, n):
+        self._same(lambda r: mv.sample_gd_batch(theta, 1e-12, n, r),
+                   lambda r: _loop_gd(theta, 1e-12, n, r), 13)
 
-    @pytest.mark.parametrize("model", list(DS_MODELS))
-    def test_ds_is_gd_per_atom(self, model):
-        sigma = self.DS_MODELS[model]
-
+    @pytest.mark.parametrize("sigma, n", _sized(DS_MODELS, 500))
+    def test_ds_is_gd_per_atom(self, sigma, n):
         def ref(r):
-            return sum(_loop_gd(a, 1e-12, 500, r)[:, None] * s
+            return sum(_loop_gd(a, 1e-12, n, r)[:, None] * s
                        for s, a in zip(sigma.directions, sigma.masses))
-        self._same(lambda r: mv.sample_ds_batch(sigma, 1e-12, 500, r), ref, 14)
+        self._same(lambda r: mv.sample_ds_batch(sigma, 1e-12, n, r), ref, 14)
 
     def test_summands_are_not_written(self):
         shared = np.ones((50, 1))
@@ -288,6 +305,31 @@ class TestPowUnderflowPremise:
             x = x[(x < cut) | (x == 0.0)]
             y = x ** (1.0 / theta)
             assert np.all(y == 0.0) and not np.signbit(y).any(), theta
+
+
+class TestBlockKernelPremise:
+    """``sample_gd_batch`` raises a (b, n) block of uniforms to a power in one
+    call, and the direction draws write cos and sin into the rows of one
+    (2, n) buffer. That keeps the streams only if NumPy's loops give the same
+    bits as the per-row calls: the scalar-power fast paths (sqrt, positive,
+    square) included, whatever n is modulo the vector width."""
+
+    @pytest.mark.parametrize("n", [1, 7, 2003])
+    @pytest.mark.parametrize("e", [0.5, 1.0, 2.0, 1.0 / 3.7])
+    def test_block_power_equals_row_powers(self, e, n):
+        block = np.random.default_rng(17).random((6, n))
+        rows = [row ** e for row in block]
+        block **= e
+        np.testing.assert_array_equal(block, rows)
+
+    @pytest.mark.parametrize("n", [1, 7, 2003])
+    def test_cos_sin_into_buffer_rows(self, n):
+        phi = 2.0 * np.pi * np.random.default_rng(18).random(n)
+        buf = np.empty((2, n))
+        np.cos(phi, out=buf[0])
+        np.sin(phi, out=buf[1])
+        np.testing.assert_array_equal(buf[0], np.cos(phi))
+        np.testing.assert_array_equal(buf[1], np.sin(phi))
 
 
 class TestFixedPointMap:
@@ -424,6 +466,49 @@ class TestSampleBatch:
         batch = mv.generate_batch("DS", mv.evenly_spaced_spectral(3), 16, 400, seed=1)
         assert batch.k == 0
 
+    @pytest.mark.parametrize("n_reps", [-5, True, 2.0, "10"])
+    def test_generate_batch_rejects_bad_n_reps(self, n_reps):
+        with pytest.raises(ValidationError, match="n_reps"):
+            mv.generate_batch("SN", mv.evenly_spaced_spectral(3), 2, n_reps, seed=0)
+
+    @pytest.mark.parametrize("method", ["SN", "TA", "DS"])
+    @pytest.mark.parametrize("k", [2.5, -1, True])
+    def test_generate_batch_rejects_bad_k(self, method, k):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            mv.generate_batch(method, mv.SpectralMeasure.beta(2.0, 5.0), k, 10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, False, 1.0])
+    def test_generate_batch_rejects_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            mv.generate_batch("SN", mv.evenly_spaced_spectral(3), 2, 10, seed=seed)
+
+    def test_generate_batch_takes_no_rows_and_the_largest_seed(self):
+        batch = mv.generate_batch("DS", mv.SpectralMeasure.beta(2.0, 5.0), 3, 0,
+                                  seed=2 ** 64 - 1)
+        assert batch.data.shape == (0, 2)
+
+    @pytest.mark.parametrize("method", ["SN", "TA", "DS"])
+    def test_generate_batch_work_budget(self, method, monkeypatch):
+        def no_grid(k, *rest):  # DS must refuse before it discretizes 10^9 cells
+            raise AssertionError("discretized before the budget check")
+        monkeypatch.setattr(sys.modules["mvdickman.discretize"], "default_grid", no_grid)
+        sigma = mv.SpectralMeasure.beta(2.0, 5.0)
+        with pytest.raises(ValidationError, match="budget"):
+            mv.generate_batch(method, sigma, 10 ** 9, 10, seed=0)
+        # at least a chunk of replications is charged
+        with pytest.raises(ValidationError, match="budget"):
+            mv.generate_batch(method, sigma, 2 * 10 ** 6, 1, seed=0)
+
+    def test_series_terms(self):
+        beta = mv.SpectralMeasure.beta(2.0, 5.0, mass=1.5)
+        finite = mv.evenly_spaced_spectral(4)
+        assert mv.samplers.series_terms("SN", beta, 7, 1e-12) == 7
+        assert mv.samplers.series_terms("TA", beta, 7, 1e-12) == 10
+        assert (mv.samplers.series_terms("DS", beta, 7, 1e-12)
+                == 7 * mv.gd_truncation_terms(1.5, 1e-12))
+        assert (mv.samplers.series_terms("DS", finite, 7, 1e-12)
+                == 4 * mv.gd_truncation_terms(0.25, 1e-12))
+
     def test_generate_batch_ds_sampler_backed_raises(self):
         sigma = mv.SpectralMeasure.from_sampler(
             1.0, 2, lambda r, n: np.tile([1.0, 0.0], (n, 1)))
@@ -460,6 +545,7 @@ class TestChunkedBatch:
         batch = mv.generate_batch(method, sigma, 6, n, seed=21)
         ref = self._direct(method, sigma, 6, n, np.random.default_rng(21))
         np.testing.assert_array_equal(batch.data, ref)
+        assert batch.data.flags.c_contiguous and ref.flags.c_contiguous
 
     @pytest.mark.parametrize("method", ["SN", "TA", "DS"])
     def test_rows_agree_with_a_serial_loop_over_chunks(self, method):
@@ -471,6 +557,8 @@ class TestChunkedBatch:
             parts.append(self._direct(method, sigma, 4, m, np.random.default_rng(seq)))
         batch = mv.generate_batch(method, sigma, 4, n, seed=22)
         np.testing.assert_array_equal(batch.data, np.concatenate(parts))
+        assert batch.data.flags.c_contiguous
+        assert all(p.flags.c_contiguous for p in parts)
 
     @pytest.mark.parametrize("model", ["finite", "beta"])
     def test_row_prefixes_agree(self, model):
