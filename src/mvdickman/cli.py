@@ -155,15 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. A package error is printed as one line,
-    ``mvdickman: error: ...``, with exit status 2, as argparse reports bad
-    arguments."""
+    """Run one subcommand. A package error, or a model or config file that
+    cannot be read or parsed, is printed as one line, ``mvdickman: error:
+    ...``, with exit status 2, as argparse reports bad arguments."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigurationError, QuadratureError, UnsupportedMeasureError,
-            ValidationError) as exc:
+            ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

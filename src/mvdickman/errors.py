@@ -7,7 +7,8 @@ class ValidationError(ValueError):
 
 class UnsupportedMeasureError(ValueError):
     """The requested operation needs a measure representation that is absent
-    (e.g. exact moments of a sampler-backed measure with no moment data)."""
+    (e.g. moments of a BDLM built from a sampler with no moment data, or a
+    JSON document for a measure that has no wire form)."""
 
 
 class QuadratureError(RuntimeError):

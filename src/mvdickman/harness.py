@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigurationError, UnsupportedMeasureError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from .measures import model_label, spectral_from_json
 from .moments import MomentSummary, md_moments
 from .samplers import _is_int, check_cell_work, generate_batch, series_terms
@@ -174,12 +174,7 @@ def run_cell(model_doc: dict, method: str, k: int, n_reps: int, seed: int,
     if truth is None:
         truth = md_moments(sigma)
     t0 = time.perf_counter()
-    try:
-        batch = generate_batch(method, sigma, k, n_reps, seed, gd_tol)
-    except UnsupportedMeasureError as exc:
-        raise ConfigurationError(
-            f"{exc}; run `discretize` on the model and configure the finite "
-            f"result instead") from exc
+    batch = generate_batch(method, sigma, k, n_reps, seed, gd_tol)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     emp = empirical_moments(batch)
     report = error_metric(emp, truth)

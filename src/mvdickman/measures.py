@@ -3,9 +3,10 @@ Levy measures (BDLMs), and parameter bundles for the L*_alpha family.
 
 A spectral measure sigma is a finite Borel measure on S^{d-1}. It doubles as
 the parameter of the multivariate Dickman distribution MD(sigma) and, via
-``md_from_spectral``, as a sphere-supported BDLM. Three representations are
-supported: finite support (atoms), a 2-d angular density on [0, 2*pi), and an
-opaque direction sampler.
+``md_from_spectral``, as a sphere-supported BDLM. Two representations are
+supported: finite support (atoms) and a 2-d angular density on [0, 2*pi). A
+sigma known only through a direction sampler is the BDLM nu = sigma of
+MD(sigma) = L*_1(sigma, 0), built by ``BDLM.from_sampler``.
 
 All types are immutable after construction; samplers receive an explicit
 ``numpy.random.Generator`` and keep no hidden state.
@@ -29,7 +30,6 @@ TWO_PI = 2.0 * math.pi
 #: spectral-measure variant tags
 FINITE = "finite"
 ANGULAR = "angular"
-SAMPLER = "sampler"
 
 _UNIT_NORM_TOL = 1e-12
 _MASS_CHECK_TOL = 1e-8
@@ -80,15 +80,6 @@ def _lock(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
-
-
-def _lock_moment_data(moment_data, dim):
-    """``moment_data`` = (integral of s, integral of s s^T) as read-only
-    arrays of shapes (dim,) and (dim, dim); None passes through."""
-    if moment_data is None:
-        return None
-    first, second = moment_data
-    return _lock(np.reshape(first, dim)), _lock(np.reshape(second, (dim, dim)))
 
 
 class _AtomSampler:
@@ -142,8 +133,8 @@ class SpectralMeasure:
     """A finite measure sigma on the unit sphere S^{d-1}.
 
     Use the classmethod constructors (``finite``, ``from_angles``,
-    ``angular``, ``beta``, ``from_sampler``) rather than the raw dataclass
-    constructor; they validate the invariants and fill the derived fields.
+    ``angular``, ``beta``) rather than the raw dataclass constructor; they
+    validate the invariants and fill the derived fields.
     """
 
     variant: str
@@ -153,8 +144,6 @@ class SpectralMeasure:
     masses: np.ndarray | None = None
     density: Callable[[np.ndarray], np.ndarray] | None = None
     angle_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    direction_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    moment_data: tuple[np.ndarray, np.ndarray] | None = None
     #: shapes (a, b) asserting that ``density`` is the Beta(a, b) density of
     #: ``beta``; discretization takes its cell masses from them in closed form
     beta_params: tuple[float, float] | None = field(default=None, compare=False)
@@ -258,33 +247,11 @@ class SpectralMeasure:
                     angle_sampler=angle_sampler, beta_params=(float(a), float(b)))
         return sigma
 
-    @classmethod
-    def from_sampler(cls, mass, dim, direction_sampler, moment_data=None) -> "SpectralMeasure":
-        """Measure known only through a normalized direction sampler.
-
-        ``direction_sampler(rng, n)`` must return an (n, dim) array of unit
-        vectors distributed as sigma/mass. ``moment_data``, when given, is the
-        pair (integral of s dsigma, integral of s s^T dsigma) enabling exact
-        moment computations.
-        """
-        if mass <= 0 or not math.isfinite(mass):
-            raise ValidationError("total mass must be finite and > 0")
-        if dim < 1:
-            raise ValidationError("dim must be >= 1")
-        return cls(variant=SAMPLER, dim=int(dim), mass=float(mass),
-                   direction_sampler=direction_sampler,
-                   moment_data=_lock_moment_data(moment_data, dim))
-
     # -- behaviour ---------------------------------------------------------
-
-    @property
-    def theta(self) -> float:
-        """Total mass sigma(S^{d-1})."""
-        return self.mass
 
     def validate(self) -> None:
         """Re-check the construction invariants, raising ValidationError."""
-        if self.variant not in (FINITE, ANGULAR, SAMPLER):
+        if self.variant not in (FINITE, ANGULAR):
             raise ValidationError(f"unknown variant {self.variant!r}")
         if not math.isfinite(self.mass) or self.mass <= 0:
             raise ValidationError("total mass must be finite and > 0")
@@ -317,29 +284,22 @@ class SpectralMeasure:
         draw checks the atoms and raises ValidationError on non-finite
         directions or masses that do not sum to ``mass``.
 
-        Finite and angular draws are returned as the (n, d) transpose of a
-        C-ordered (d, n) array, so that the series kernels read and multiply
-        each coordinate as one contiguous row.
+        Draws are returned as the (n, d) transpose of a C-ordered (d, n)
+        array, so that the series kernels read and multiply each coordinate
+        as one contiguous row.
         """
         if self.variant == FINITE:
             return self._atom_sampler(rng, n)
-        if self.variant == ANGULAR:
-            if self.angle_sampler is None:
-                raise UnsupportedMeasureError(
-                    "this angular measure carries no angle sampler; attach one "
-                    "to construct draws"
-                )
-            phi = _reduce_angles(self.angle_sampler(rng, n))
-            s = np.empty((2, n))
-            np.cos(phi, out=s[0])
-            np.sin(phi, out=s[1])
-            return s.T
-        s = np.asarray(self.direction_sampler(rng, n), dtype=float).reshape(n, self.dim)
-        norms = np.linalg.norm(s, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):
-            raise ValidationError(
-                "the attached direction sampler produced non-unit vectors")
-        return s
+        if self.angle_sampler is None:
+            raise UnsupportedMeasureError(
+                "this angular measure carries no angle sampler; attach one "
+                "to construct draws"
+            )
+        phi = _reduce_angles(self.angle_sampler(rng, n))
+        s = np.empty((2, n))
+        np.cos(phi, out=s[0])
+        np.sin(phi, out=s[1])
+        return s.T
 
     def angles(self) -> np.ndarray:
         """Atom angles in [0, 2*pi) (finite bivariate measures only)."""
@@ -488,9 +448,25 @@ class BDLM:
 
     @classmethod
     def from_sampler(cls, theta, dim, base_sampler, moment_data=None) -> "BDLM":
-        """nu known only through total mass and a sampler for nu_1."""
+        """nu known only through total mass and a sampler for nu_1.
+
+        ``moment_data``, when given, is the pair (integral of y dnu, integral
+        of y y^T dnu) of finite arrays with shapes (dim,) and (dim, dim).
+        """
+        if moment_data is not None:
+            try:
+                first, second = (_lock(m) for m in moment_data)
+            except (TypeError, ValueError):
+                raise ValidationError("moment_data must be a pair of arrays") from None
+            if first.shape != (dim,) or second.shape != (dim, dim):
+                raise ValidationError(
+                    f"moment_data needs shapes ({dim},) and ({dim}, {dim}), got "
+                    f"{first.shape} and {second.shape}")
+            if not (np.isfinite(first).all() and np.isfinite(second).all()):
+                raise ValidationError("moment_data must be finite")
+            moment_data = first, second
         return cls(theta=float(theta), dim=int(dim), base_sampler=base_sampler,
-                   moment_data=_lock_moment_data(moment_data, dim))
+                   moment_data=moment_data)
 
 
 @dataclass(frozen=True)

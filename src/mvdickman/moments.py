@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, UnsupportedMeasureError, ValidationError
-from .measures import (_MASS_CHECK_TOL, ANGULAR, FINITE, TWO_PI, BDLM,
-                       LStarParams, SpectralMeasure, _lock)
+from .measures import (_MASS_CHECK_TOL, FINITE, TWO_PI, BDLM, LStarParams,
+                       SpectralMeasure, _lock)
 
 _SYM_TOL = 1e-12
 _QUAD_TOL = 1e-10
@@ -194,27 +194,20 @@ def _integrals(sigma: SpectralMeasure):
     Gauss-Kronrod on the density otherwise; QAWS is no substitute on smooth
     shapes (at (50, 50) its error estimate is 3e-8, over the 1e-10 budget).
     The cos^2 and sin^2 integrals must add up to the mass within 1e-8, which
-    catches a density that underflowed to 0. Attached ``moment_data`` for a
-    sampler-backed measure.
+    catches a density that underflowed to 0.
     """
     if sigma.variant == FINITE:
         return _atom_sums(sigma.directions, sigma.masses)
-    if sigma.variant == ANGULAR:
-        if sigma.beta_params is not None and min(sigma.beta_params) < 1.0:
-            c, s, c2, s2, cs = _beta_functionals(*sigma.beta_params, sigma.mass)
-        else:
-            c, s, c2, s2, cs = (integrate_angular(g, sigma.density) for g in _ANGULAR_FNS)
-        gap = abs(c2 + s2 - sigma.mass)
-        if not gap <= _MASS_CHECK_TOL:
-            raise QuadratureError(
-                f"angular moment integrals carry mass {c2 + s2!r}, not the "
-                f"declared {sigma.mass!r}", achieved=gap)
-        return np.array([c, s]), np.array([[c2, cs], [cs, s2]])
-    if sigma.moment_data is not None:
-        return sigma.moment_data
-    raise UnsupportedMeasureError(
-        "sampler-backed spectral measure without moment data; supply "
-        "moment_data or use a finite/angular representation")
+    if sigma.beta_params is not None and min(sigma.beta_params) < 1.0:
+        c, s, c2, s2, cs = _beta_functionals(*sigma.beta_params, sigma.mass)
+    else:
+        c, s, c2, s2, cs = (integrate_angular(g, sigma.density) for g in _ANGULAR_FNS)
+    gap = abs(c2 + s2 - sigma.mass)
+    if not gap <= _MASS_CHECK_TOL:
+        raise QuadratureError(
+            f"angular moment integrals carry mass {c2 + s2!r}, not the "
+            f"declared {sigma.mass!r}", achieved=gap)
+    return np.array([c, s]), np.array([[c2, cs], [cs, s2]])
 
 
 # --------------------------------------------------------------------------
@@ -260,8 +253,9 @@ def md_moments(sigma: SpectralMeasure) -> MomentSummary:
 
     Exact sums for finite support; for bivariate densities, quadrature to an
     absolute 1e-10 per integral: by the algebraic-weight rule on beta shapes
-    with min(a, b) < 1, by Gauss-Kronrod on the density otherwise.
-    Sampler-backed measures need attached moment data.
+    with min(a, b) < 1, by Gauss-Kronrod on the density otherwise. For a
+    sigma known only through a sampler, use ``lstar_moments`` on
+    ``BDLM.from_sampler`` with its moment data.
     """
     sigma.validate()
     first, second = _integrals(sigma)

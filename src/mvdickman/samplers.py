@@ -499,8 +499,7 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
 
     SN and TA use ``k`` as their tuning parameter. DS on a finite-support
     sigma is exact and records k = 0; on an angular-density sigma it first
-    discretizes at level k with the default evenly spaced grid. Sampler-backed
-    measures cannot be run through DS.
+    discretizes at level k with the default evenly spaced grid.
 
     The rows are drawn in chunks of ``_CHUNK`` rows, each from its own
     substream of ``seed`` (see the module docstring). ``k`` and ``n_reps``
@@ -529,12 +528,8 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
     else:
         if sigma.variant == FINITE:
             k = 0
-        elif sigma.density is not None:
-            sigma = discretize_angular(sigma, default_grid(k))
         else:
-            raise UnsupportedMeasureError(
-                "DS needs a finite-support or angular-density measure; run "
-                "the discretize step first")
+            sigma = discretize_angular(sigma, default_grid(k))
         draw = lambda m, rng: sample_ds_batch(sigma, gd_tol, m, rng)
     if method != "DS" and sigma.variant == FINITE:
         sigma._atom_sampler  # build the guide table once, not in each chunk

@@ -193,15 +193,6 @@ class TestRunExperiment:
         assert rows[0]["k"] == 0
         assert rows[0]["model"] == "finite(r=4)"
 
-    def test_ds_on_sampler_model_is_config_error(self, monkeypatch):
-        sampler_sigma = mv.SpectralMeasure.from_sampler(
-            1.0, 2, lambda r, n: np.tile([1.0, 0.0], (n, 1)),
-            moment_data=([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]))
-        monkeypatch.setattr("mvdickman.harness.spectral_from_json",
-                            lambda doc: sampler_sigma)
-        with pytest.raises(ConfigurationError, match="discretize"):
-            run_cell(BETA11, "DS", 4, 100, seed=1, gd_tol=1e-12)
-
     def test_writes_csv_file(self, tmp_path):
         out = tmp_path / "rows.csv"
         config = small_config(k_grid=(2,), methods=("SN",), out=str(out))
@@ -311,15 +302,27 @@ class TestCli:
         assert len(lines) == 51
 
     @pytest.mark.parametrize("args, message", [
-        (["--k", "1000000000", "-n", "10"], "budget"),
-        (["-n", "-5"], "n_reps must be an integer >= 0"),
-        (["--seed", "-1"], "seed must be an integer in"),
+        (["sample", "--model", "{model}", "--method", "SN",
+          "--k", "1000000000", "-n", "10"], "budget"),
+        (["sample", "--model", "{model}", "--method", "SN", "-n", "-5"],
+         "n_reps must be an integer >= 0"),
+        (["sample", "--model", "{model}", "--method", "SN", "--seed", "-1"],
+         "seed must be an integer in"),
+        (["sample", "--model", "{missing}", "--method", "SN"], "No such file"),
+        (["moments", "--model", "{truncated}"], "Expecting value"),
+        (["experiment", "--config", "{truncated}"], "Expecting value"),
+        (["moments", "--model", "{latin1}"], "can't decode"),
     ])
     def test_package_errors_are_one_line(self, tmp_path, capsys, args, message):
         from mvdickman.cli import main
 
-        model = self._write_model(tmp_path)
-        assert main(["sample", "--model", str(model), "--method", "SN", *args]) == 2
+        files = {"model": self._write_model(tmp_path),
+                 "missing": tmp_path / "missing.json",
+                 "truncated": tmp_path / "truncated.json",
+                 "latin1": tmp_path / "latin1.json"}
+        files["truncated"].write_text('{"variant": ')
+        files["latin1"].write_bytes('{"variant": "b\xeata"}'.encode("latin-1"))
+        assert main([a.format(**files) for a in args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("mvdickman: error: ")

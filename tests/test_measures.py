@@ -120,12 +120,6 @@ class TestSpectralMeasure:
         with pytest.raises(ValidationError, match="finite"):
             mv.SpectralMeasure.finite([[bad, 0.0], [1.0, 0.0]], [1.0, 1.0])
 
-    def test_sampler_rejects_non_finite_directions(self):
-        sigma = mv.SpectralMeasure.from_sampler(
-            1.0, 2, lambda r, n: np.full((n, 2), np.nan))
-        with pytest.raises(ValidationError, match="non-unit"):
-            sigma.sample_directions(np.random.default_rng(0), 3)
-
     @pytest.mark.parametrize("directions, mass", [([[np.nan, 0.0]], 1.0),
                                                   ([[1.0, 0.0]], 2.0)])
     def test_draw_rechecks_raw_constructed_measure(self, directions, mass):
@@ -138,11 +132,8 @@ class TestSpectralMeasure:
 
     def test_sampled_directions_unit_norm(self):
         rng = np.random.default_rng(11)
-        for sigma in (mv.SpectralMeasure.beta(2.0, 5.0),
-                      mv.SpectralMeasure.from_sampler(
-                          1.0, 3, lambda r, n: _sphere_sampler(r, n, 3))):
-            s = sigma.sample_directions(rng, 2000)
-            assert np.max(np.abs(np.linalg.norm(s, axis=1) - 1.0)) <= 1e-12
+        s = mv.SpectralMeasure.beta(2.0, 5.0).sample_directions(rng, 2000)
+        assert np.max(np.abs(np.linalg.norm(s, axis=1) - 1.0)) <= 1e-12
 
     def test_finite_direction_sampling_frequencies(self):
         sigma = mv.SpectralMeasure.from_angles([0.0, np.pi], [3.0, 1.0])
@@ -225,11 +216,6 @@ def test_finite_draws_at_cut_points_and_bucket_edges(masses):
     np.testing.assert_array_equal(got, sigma.directions[cdf.searchsorted(u, "right")])
 
 
-def _sphere_sampler(rng, n, d):
-    z = rng.standard_normal((n, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 class TestJson:
     def test_finite_round_trip(self):
         sigma = mv.evenly_spaced_spectral(4, mass=2.0)
@@ -266,8 +252,8 @@ class TestJson:
             mv.spectral_from_json(doc)
 
     def test_sampler_backed_not_serializable(self):
-        sigma = mv.SpectralMeasure.from_sampler(
-            1.0, 2, lambda r, n: _sphere_sampler(r, n, 2))
+        # the wire format has angles, so a measure in d = 3 has no document
+        sigma = mv.SpectralMeasure.finite(np.eye(3), [1.0, 1.0, 1.0])
         with pytest.raises(UnsupportedMeasureError):
             mv.spectral_to_json(sigma)
 
@@ -294,6 +280,16 @@ class TestBDLM:
         bd = mv.BDLM.from_atoms([[0.0], [1.0]], [0.5, 0.5])
         draws = bd.base_sampler(np.random.default_rng(5), 1000)
         assert set(np.unique(draws)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("moment_data", [
+        ([1.0, 2.0, 3.0], np.eye(2)),
+        (np.zeros(2),),
+        ([np.nan, 0.0], np.eye(2)),
+    ], ids=["wrong-shape", "one-element", "nan"])
+    def test_from_sampler_rejects_bad_moment_data(self, moment_data):
+        with pytest.raises(ValidationError, match="moment_data"):
+            mv.BDLM.from_sampler(1.0, 2, lambda r, n: np.zeros((n, 2)),
+                                 moment_data=moment_data)
 
 
 class TestMdFromSpectral:

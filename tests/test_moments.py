@@ -111,28 +111,13 @@ class TestMdMoments:
             s = mv.md_moments(sigma)
             assert np.trace(s.cov) == pytest.approx(sigma.mass / 2, rel=1e-12)
 
-    def test_sampler_backed_needs_moment_data(self):
-        sigma = mv.SpectralMeasure.from_sampler(
-            1.0, 2, lambda r, n: np.tile([1.0, 0.0], (n, 1)))
-        with pytest.raises(UnsupportedMeasureError):
-            mv.md_moments(sigma)
-        sigma2 = mv.SpectralMeasure.from_sampler(
-            1.0, 2, lambda r, n: np.tile([1.0, 0.0], (n, 1)),
-            moment_data=([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]))
-        s = mv.md_moments(sigma2)
-        np.testing.assert_allclose(s.mean, [1.0, 0.0])
-        np.testing.assert_allclose(s.cov, [[0.5, 0.0], [0.0, 0.0]])
-
     @pytest.mark.parametrize("make_sigma", [
         lambda: mv.SpectralMeasure.from_angles(
             np.random.default_rng(11).random(200) * 2 * np.pi,
             np.random.default_rng(12).random(200) + 0.1),
         lambda: mv.SpectralMeasure.beta(2.0, 5.0),      # Gauss-Kronrod
         lambda: mv.SpectralMeasure.beta(0.2, 0.3),      # QAWS
-        lambda: mv.SpectralMeasure.from_sampler(
-            1.5, 2, lambda r, n: np.tile([1.0, 0.0], (n, 1)),
-            moment_data=([0.9, 0.3], [[0.8, 0.1], [0.1, 0.7]])),
-    ], ids=["finite-r200", "beta(2,5)", "beta(0.2,0.3)", "sampler"])
+    ], ids=["finite-r200", "beta(2,5)", "beta(0.2,0.3)"])
     def test_is_exactly_the_lstar_1_case(self, make_sigma):
         sigma = make_sigma()
         a = mv.md_moments(sigma)

@@ -181,6 +181,44 @@ class TestSampleDs:
                                np.random.default_rng(0))
 
 
+def _sphere_sampler(rng, n):
+    z = rng.standard_normal((n, 3))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+class TestSampledSphereMeasure:
+    """MD(sigma) for sigma = 1.5 x uniform on S^2, known only through its
+    direction sampler: the BDLM nu = sigma of L*_1(sigma, 0). Its moments are
+    mean 0 and covariance 1/2 * integral of s s^T dsigma = theta/6 * I."""
+
+    theta = 1.5
+    n = 200_000
+
+    def _params(self):
+        bdlm = mv.BDLM.from_sampler(self.theta, 3, _sphere_sampler,
+                                    moment_data=(np.zeros(3), self.theta / 3 * np.eye(3)))
+        return mv.LStarParams(alpha=1.0, bdlm=bdlm)
+
+    def test_moments(self):
+        s = mv.lstar_moments(self._params())
+        np.testing.assert_array_equal(s.mean, np.zeros(3))
+        np.testing.assert_allclose(s.cov, self.theta / 6 * np.eye(3), rtol=1e-15)
+
+    def test_sn(self):
+        x = mv.sample_sn_batch(self._params(), 60, self.n, np.random.default_rng(2601))
+        se = x.std(axis=0, ddof=1) / math.sqrt(self.n)
+        assert np.all(np.abs(x.mean(axis=0)) <= 5 * se)
+        dev2 = (x - x.mean(axis=0)) ** 2
+        se_var = dev2.std(axis=0, ddof=1) / math.sqrt(self.n)
+        assert np.all(np.abs(x.var(axis=0, ddof=1) - self.theta / 6) <= 5 * se_var)
+
+    def test_ta(self):
+        x = mv.sample_ta_batch(1.0, _sphere_sampler, self.theta, 200, self.n,
+                               np.random.default_rng(2602))
+        se = x.std(axis=0, ddof=1) / math.sqrt(self.n)
+        assert np.all(np.abs(x.mean(axis=0)) <= 5 * se)
+
+
 # Per-term loops of the samplers before they shared one series kernel; the
 # kernel must reproduce their draws, their order and their arithmetic.
 
@@ -508,12 +546,6 @@ class TestSampleBatch:
                 == 7 * mv.gd_truncation_terms(1.5, 1e-12))
         assert (mv.samplers.series_terms("DS", finite, 7, 1e-12)
                 == 4 * mv.gd_truncation_terms(0.25, 1e-12))
-
-    def test_generate_batch_ds_sampler_backed_raises(self):
-        sigma = mv.SpectralMeasure.from_sampler(
-            1.0, 2, lambda r, n: np.tile([1.0, 0.0], (n, 1)))
-        with pytest.raises(UnsupportedMeasureError, match="discretize"):
-            mv.generate_batch("DS", sigma, 16, 400, seed=1)
 
 
 class TestChunkedBatch:
