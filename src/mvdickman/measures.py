@@ -95,6 +95,7 @@ class _AtomSampler:
     ``b / M`` are exact, and bucket b starts the search at the first cut
     point above ``b / M``. The draws are gathered from a (d, r) copy of the
     points and returned as the (n, d) transpose of a C-ordered (d, n) array.
+    ``indices`` is the lookup alone, for uniforms the caller drew.
     """
 
     def __init__(self, points, weights, total):
@@ -115,17 +116,25 @@ class _AtomSampler:
         self.buckets = 1 << (4 * len(p) - 1).bit_length()
         self.lo = cdf.searchsorted(np.arange(self.buckets) / self.buckets, "right")
 
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def indices(self, u: np.ndarray) -> np.ndarray:
+        """Atom indices ``cdf.searchsorted(u, "right")`` of the uniforms ``u``,
+        an array of any shape, bit for bit."""
         cdf = self.cdf
-        u = rng.random(n)
         idx = self.lo.take((u * self.buckets).astype(np.intp))
         # step on only the draws whose bucket holds cut points below u: one
-        # pass over all draws, and the rest over few, however dense the atoms
+        # pass over all draws, and the rest over few, however dense the atoms.
+        # u may be a strided view, so its few values are gathered once.
+        flat = idx.reshape(-1)
         i = np.flatnonzero(cdf.take(idx) <= u)
+        ui = u[np.unravel_index(i, u.shape)]
         while i.size:
-            idx[i] += 1
-            i = i[cdf.take(idx[i]) <= u[i]]
-        return self.columns.take(idx, axis=1).T
+            flat[i] += 1
+            step = cdf.take(flat[i]) <= ui
+            i, ui = i[step], ui[step]
+        return idx
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.columns.take(self.indices(rng.random(n)), axis=1).T
 
 
 @dataclass(frozen=True)
@@ -264,6 +273,8 @@ class SpectralMeasure:
                                       f"the atom masses within {_PROB_SUM_TOL:.2g}")
         if self.variant == ANGULAR and self.dim != 2:
             raise ValidationError("angular-density measures are bivariate only")
+        if self.variant == ANGULAR and not callable(self.density):
+            raise ValidationError("an angular-density measure needs a callable density")
         if self.beta_params is not None:
             if self.variant != ANGULAR:
                 raise ValidationError("beta_params needs an angular-density measure")

@@ -38,6 +38,22 @@ end cells of a discretized beta model have masses down to about 1e-11, so
 U^(1/theta) underflows on most lanes, and pow spends about 135 ns on each to
 return +0; ``_uniform_powers`` keeps such lanes off pow's slow path.
 
+On a finite measure a term's weight and direction are both drawn from plain
+uniforms, so SN at alpha = 1 and TA at any alpha draw the uniforms of b terms
+in one call into a (b, 2, n) block of at most ``_BLOCK`` elements
+(``_atom_series``): row [t, 0] holds term t's weight uniforms and row [t, 1]
+its direction uniforms, the stream of the per-term calls. A block takes one
+pass for its weights and one guide-table lookup (``_AtomSampler.indices``)
+for its directions; then each term gathers its atoms into the (d, n) buffer
+and is multiplied and added in term order, bit for bit. This is chosen when
+the direction sampler is the package's atom sampler: a finite
+SpectralMeasure's ``sample_directions`` or a ``BDLM.from_atoms`` sampler.
+Every other case keeps the per-term ``_series`` loop: beta angles, as
+``rng.beta`` takes a variable number of stream values; SN at alpha != 1,
+whose exponentials are drawn by ziggurat; samplers from
+``BDLM.from_sampler``, whose draws are unknown; and DS, which sums one GD
+series per atom.
+
 Normalization note: the shot-noise weights used here are
 ``exp(-(alpha * Gamma_i / (T * theta))^(1/alpha))`` with unit-rate arrival
 epochs Gamma_i. This normalization makes the series marginal carry the Levy
@@ -67,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedMeasureError, ValidationError
-from .measures import FINITE, BDLM, LStarParams, SpectralMeasure, _lock
+from .measures import FINITE, LStarParams, SpectralMeasure, _AtomSampler, _lock
 
 _DEFAULT_GD_TOL = 1e-12
 
@@ -87,8 +103,11 @@ _CHUNK = 8192
 #: 2-core x86 VM
 MAX_CELL_WORK = 10 ** 10
 
-#: most uniforms a GD series draws in one block: 8 terms of a chunk, 512 KiB.
-#: At 2^18 a chunk ran no faster and a sweep's peak RSS rose by 5%.
+#: most uniforms a series draws in one block, 512 KiB: 8 GD terms of a chunk,
+#: or 4 terms of a finite SN or TA series. At 2^18 a GD chunk ran no faster
+#: and a sweep's peak RSS rose by 5%. With its lookup's index and scratch
+#: arrays, a finite SN or TA chunk of 8192 rows then peaks under 2 MiB of
+#: traced memory, against about 0.6 MiB drawn one term at a time.
 _BLOCK = 1 << 16
 
 
@@ -200,6 +219,7 @@ def sample_gd_batch(theta: float, tol: float, n: int, rng: np.random.Generator) 
     then take one row at a time, in term order, as the per-term series does.
     No block reaches past term k.
     """
+    _check_count("n", n)
     terms = gd_truncation_terms(theta, tol)
     rows = max(min(terms, _BLOCK // max(n, 1)), 1)
     block, low = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
@@ -230,6 +250,39 @@ def _series(weights, terms, draw, rng, out):
     return out
 
 
+def _atom_series(weigh, terms, atoms, rng, out):
+    """``_series`` for directions from the ``_AtomSampler`` ``atoms``, drawn
+    a block of terms at a time: the uniforms of b terms come from one call
+    into a (b, 2, n) block, weight uniforms in row [t, 0] and direction
+    uniforms in row [t, 1], the stream of the per-term calls. ``weigh(u)``
+    turns the (m, n) weight uniforms of a block, in place, into the m terms'
+    weights in term order; one lookup maps all the direction uniforms to
+    atoms, and each term gathers its atoms into one (d, n) buffer."""
+    n = out.shape[1]
+    rows = max(min(terms, _BLOCK // max(2 * n, 1)), 1)
+    block, y = np.empty((rows, 2, n)), np.empty_like(out)
+    for start in range(0, terms, rows):
+        u = rng.random(out=block[:terms - start])
+        for w, i in zip(weigh(u[:, 0]), atoms.indices(u[:, 1])):
+            # the indices are in range; "clip" lets take write y unbuffered
+            atoms.columns.take(i, axis=1, out=y, mode="clip")
+            out += np.multiply(y, w, out=y)
+    return out
+
+
+def _atoms_behind(draw):
+    """The ``_AtomSampler`` that the direction sampler ``draw`` runs, or None:
+    ``draw`` itself (``BDLM.from_atoms``), or the guide table of a finite
+    SpectralMeasure's ``sample_directions``."""
+    if isinstance(draw, _AtomSampler):
+        return draw
+    sigma = getattr(draw, "__self__", None)
+    if (isinstance(sigma, SpectralMeasure) and sigma.variant == FINITE
+            and getattr(draw, "__name__", None) == "sample_directions"):
+        return sigma._atom_sampler
+    return None
+
+
 def _epoch_weights(g, alpha, t_theta, out):
     """Shot-noise weights exp(-(alpha * g / t_theta)^(1/alpha)) at epochs g."""
     np.multiply(g, alpha / t_theta, out=out)
@@ -257,32 +310,45 @@ def _uniform_powers(u, t_theta, low):
     return u
 
 
+def _unit_sn_weigher(t_theta, n):
+    """The function that turns an (m, n) block of uniforms U, in place, into
+    the alpha = 1 shot-noise weights of the next m terms, yielded in one (n,)
+    buffer: the running product of U^(1/t_theta), carried across calls. It
+    has the law of exp(-Gamma_i / t_theta) without exponentials."""
+    w = np.ones(n)
+
+    def weigh(u):
+        for row in _uniform_powers(u, t_theta, np.empty(u.shape, dtype=bool)):
+            yield np.multiply(w, row, out=w)
+    return weigh
+
+
 def _sn_weights(alpha, t_theta, n, rng):
-    """Yield the shot-noise weights of terms 1, 2, ..., in one (n,) buffer.
-    At alpha = 1, exp(-Gamma_i / t_theta) is drawn as a running product of
-    U^(1/t_theta), the same law without exponentials."""
-    w, u = np.ones(n), np.empty(n)
+    """Yield the shot-noise weights of terms 1, 2, ..., in one (n,) buffer."""
     if alpha == 1.0:
-        low = np.empty(n, dtype=bool)
+        weigh, u = _unit_sn_weigher(t_theta, n), np.empty((1, n))
         while True:
-            w *= _uniform_powers(rng.random(out=u), t_theta, low)
-            yield w
-    g = np.zeros(n)
+            yield from weigh(rng.random(out=u))
+    w, u, g = np.empty(n), np.empty(n), np.zeros(n)
     while True:
         g += rng.standard_exponential(out=u)
         yield _epoch_weights(g, alpha, t_theta, w)
 
 
+def _ta_weigh(u, alpha, npow):
+    """Turn the uniforms ``u`` (V), in place, into the triangular-array
+    weights (1 - V^(1/alpha))^npow, and return them."""
+    u **= 1.0 / alpha
+    np.subtract(1.0, u, out=u)
+    u **= npow
+    return u
+
+
 def _ta_weights(alpha, npow, n, rng):
-    """Yield the triangular-array weights (1 - V^(1/alpha))^npow, V uniform,
-    of each term in one (n,) buffer."""
+    """Yield the triangular-array weights of each term in one (n,) buffer."""
     w = np.empty(n)
     while True:
-        rng.random(out=w)
-        w **= 1.0 / alpha
-        np.subtract(1.0, w, out=w)
-        w **= npow
-        yield w
+        yield _ta_weigh(rng.random(out=w), alpha, npow)
 
 
 # --------------------------------------------------------------------------
@@ -298,14 +364,19 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
 
     k = 0 returns the drift alone (degenerate but convenient for sweeps).
     """
-    if k < 0:
-        raise ValidationError("k must be >= 0")
+    _check_count("k", k)
+    _check_count("n", n)
     if T <= 0:
         raise ValidationError("T must be > 0")
-    weights = _sn_weights(params.alpha, T * params.bdlm.theta, n, rng)
+    t_theta, draw = T * params.bdlm.theta, params.bdlm.base_sampler
     out = np.empty((params.dim, n))
     out[...] = (T * params.gamma)[:, None]
-    return np.ascontiguousarray(_series(weights, k, params.bdlm.base_sampler, rng, out).T)
+    atoms = _atoms_behind(draw)
+    if params.alpha == 1.0 and atoms is not None:
+        out = _atom_series(_unit_sn_weigher(t_theta, n), k, atoms, rng, out)
+    else:
+        out = _series(_sn_weights(params.alpha, t_theta, n, rng), k, draw, rng, out)
+    return np.ascontiguousarray(out.T)
 
 
 def sample_levy_path(params: LStarParams, T: float, k: int,
@@ -362,14 +433,18 @@ def sample_ta_batch(alpha: float, nu0_sampler, c: float, n: int, n_reps: int,
     nu0_sampler : callable(rng, size) -> (size, d) array
     n : sharpness of the power weights (the tuning parameter)
     """
+    _check_count("n_reps", n_reps)
     terms = ta_term_count(alpha, c, n)
     d = np.atleast_2d(np.asarray(nu0_sampler(rng, 1), dtype=float)).shape[1]  # probe draw
+    out, atoms = np.zeros((d, n_reps)), _atoms_behind(nu0_sampler)
+    if atoms is not None:
+        out = _atom_series(lambda u: _ta_weigh(u, alpha, float(n)), terms, atoms,
+                           rng, out)
+    else:
+        def draw(rng, m):
+            return np.asarray(nu0_sampler(rng, m), dtype=float).reshape(m, d)
 
-    def draw(rng, m):
-        return np.asarray(nu0_sampler(rng, m), dtype=float).reshape(m, d)
-
-    out = _series(_ta_weights(alpha, float(n), n_reps, rng), terms, draw, rng,
-                  np.zeros((d, n_reps)))
+        out = _series(_ta_weights(alpha, float(n), n_reps, rng), terms, draw, rng, out)
     return np.ascontiguousarray(out.T)
 
 
@@ -384,6 +459,7 @@ def sample_ds_batch(sigma_k: SpectralMeasure, gd_tol: float, n_reps: int,
     Sum over atoms of s_i * Y_i with independent Y_i ~ GD(a_i); exact apart
     from the GD series truncation controlled by ``gd_tol``.
     """
+    _check_count("n_reps", n_reps)
     if sigma_k.variant != FINITE:
         raise UnsupportedMeasureError(
             "the DS sampler needs a finite-support spectral measure; "
@@ -467,6 +543,13 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is an integer
+    >= ``least``."""
+    if not (_is_int(value) and value >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def series_terms(method: str, sigma: SpectralMeasure, k: int, gd_tol: float) -> int:
     """Series terms per replication of the ``generate_batch(method, sigma, k)``
     cell: k for SN, floor(mass * k) for TA, and for DS the GD terms summed
@@ -503,19 +586,17 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
 
     The rows are drawn in chunks of ``_CHUNK`` rows, each from its own
     substream of ``seed`` (see the module docstring). ``k`` and ``n_reps``
-    must be integers >= 0 and ``seed`` one in [0, 2^64); a cell over
-    ``MAX_CELL_WORK`` (see ``check_cell_work``) raises ValidationError
-    before any work is done.
+    must be integers >= 0 (``k`` >= 1 for TA, its sharpness) and ``seed``
+    one in [0, 2^64); a cell over ``MAX_CELL_WORK`` (see
+    ``check_cell_work``) raises ValidationError before any work is done.
     """
     from .measures import md_from_spectral
     from .discretize import default_grid, discretize_angular
 
     if method not in ("SN", "TA", "DS"):
         raise ValidationError(f"unknown method {method!r}")
-    if not (_is_int(k) and k >= 0):
-        raise ValidationError(f"k must be an integer >= 0, got {k!r}")
-    if not (_is_int(n_reps) and n_reps >= 0):
-        raise ValidationError(f"n_reps must be an integer >= 0, got {n_reps!r}")
+    _check_count("k", k, 1 if method == "TA" else 0)
+    _check_count("n_reps", n_reps)
     if not (_is_int(seed) and 0 <= seed < 2 ** 64):
         raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     check_cell_work(series_terms(method, sigma, k, gd_tol), n_reps)

@@ -142,6 +142,14 @@ class TestSpectralMeasure:
         frac_right = np.mean(s[:, 0] > 0)
         assert frac_right == pytest.approx(0.75, abs=0.01)
 
+    @pytest.mark.parametrize("density", [None, 1.0])
+    def test_angular_needs_a_callable_density(self, density):
+        bad = mv.SpectralMeasure(variant="angular", dim=2, mass=1.0, density=density)
+        with pytest.raises(ValidationError, match="callable density"):
+            bad.validate()
+        with pytest.raises(ValidationError, match="callable density"):
+            mv.md_moments(bad)
+
     def test_angular_without_sampler_cannot_draw(self):
         density = lambda x: np.full_like(np.asarray(x, dtype=float),
                                          1.0 / (2 * np.pi))
@@ -214,6 +222,12 @@ def test_finite_draws_at_cut_points_and_bucket_edges(masses):
     u = u[(u >= 0.0) & (u < 1.0)]
     got = sigma.sample_directions(_FixedUniforms(u), len(u))
     np.testing.assert_array_equal(got, sigma.directions[cdf.searchsorted(u, "right")])
+    # the same uniforms as the direction rows [:, 1] of a (b, 2, n) block, a
+    # strided view, as the series kernels look them up
+    block = np.zeros((len(u), 2, 1))
+    block[:, 1, 0] = u
+    np.testing.assert_array_equal(sigma._atom_sampler.indices(block[:, 1])[:, 0],
+                                  cdf.searchsorted(u, "right"))
 
 
 class TestJson:

@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +278,36 @@ def _sized(cases, n0):
                for n in _GD_SIZES])
 
 
+def _unequal_atoms(seed, r=200):
+    """r atoms at uniform angles: the finite benchmark model's recipe, with
+    masses spread over three decades so that guide-table buckets hold
+    several cut points and a lookup steps more than once."""
+    rng = random.Random(f"finite-{seed}")
+    angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(r))
+    weights = np.array([10.0 ** rng.uniform(-3.0, 0.0) for _ in range(r)])
+    return mv.SpectralMeasure.from_angles(angles, weights / weights.sum())
+
+
+#: the measures whose SN (alpha = 1) and TA series draw a block of terms at a
+#: time: seven equal atoms, 200 unequal ones, and atoms in d = 3
+_ATOM_MODELS = {
+    "finite": mv.md_from_spectral(mv.evenly_spaced_spectral(7)).bdlm,
+    "r200": mv.md_from_spectral(_unequal_atoms(13)).bdlm,
+    "atoms-d3": mv.BDLM.from_atoms(
+        np.random.default_rng(19).standard_normal((5, 3)), [0.5, 2.0, 0.1, 1.0, 0.7]),
+}
+
+#: a block holds ``_BLOCK // (2 n)`` terms: one block at n = 1 and 7, four
+#: terms at a chunk and a chunk tail, three at 10 000 and one past _BLOCK / 2
+_ATOM_SIZES = [1, 7, 7808, 8192, 10_000, mv.samplers._BLOCK // 2 + 7]
+
+#: SN term counts, and TA (alpha, sharpness) pairs giving 1, 5, 6 and 39
+#: terms at c = 1.3: one term, and counts that most block sizes above leave
+#: a short last block of
+_SN_TERMS = [1, 3, 5, 37]
+_TA_ARRAYS = [(1.0, 1), (2.0, 3), (0.5, 7), (1.0, 30)]
+
+
 class TestStreamsPinned:
     MODELS = {"finite": mv.evenly_spaced_spectral(7),
               "beta": mv.SpectralMeasure.beta(2.0, 5.0)}
@@ -292,20 +324,41 @@ class TestStreamsPinned:
         assert x.flags.c_contiguous
         assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize("model", ["finite", "beta"])
-    @pytest.mark.parametrize("alpha, T", [(1.0, 1.0), (1.0, 1.5), (2.0, 1.0), (0.6, 0.7)])
-    def test_sn(self, model, alpha, T):
-        bdlm = mv.md_from_spectral(self.MODELS[model]).bdlm
-        params = mv.LStarParams(alpha=alpha, bdlm=bdlm, gamma=[0.1, -0.2])
-        self._same(lambda r: mv.sample_sn_batch(params, 37, 1001, r, T=T),
-                   lambda r: _loop_sn(params, 37, 1001, r, T=T), 11)
+    # the first cases under their original ids; then the finite models, whose
+    # SN at alpha = 1 and TA take the block path, at sizes and term counts
+    # that leave a short last block
+    @pytest.mark.parametrize("bdlm, alpha, T, k, n", [
+        pytest.param(mv.md_from_spectral(sigma).bdlm, alpha, T, 37, 1001,
+                     id=f"{alpha}-{T}-{model}")
+        for model, sigma in MODELS.items()
+        for alpha, T in [(1.0, 1.0), (1.0, 1.5), (2.0, 1.0), (0.6, 0.7)]] + [
+        pytest.param(bdlm, 1.0, 1.5, k, n, id=f"{model}-k{k}-n{n}")
+        for model, bdlm in _ATOM_MODELS.items() for n in _ATOM_SIZES
+        for k in _SN_TERMS])
+    def test_sn(self, bdlm, alpha, T, k, n):
+        gamma = [0.1, -0.2, 0.3][:bdlm.dim]
+        params = mv.LStarParams(alpha=alpha, bdlm=bdlm, gamma=gamma)
+        self._same(lambda r: mv.sample_sn_batch(params, k, n, r, T=T),
+                   lambda r: _loop_sn(params, k, n, r, T=T), 11)
 
-    @pytest.mark.parametrize("model", ["finite", "beta"])
-    @pytest.mark.parametrize("alpha, n", [(1.0, 200), (2.0, 30), (0.5, 7)])
-    def test_ta(self, model, alpha, n):
-        draw = self.MODELS[model].sample_directions
-        self._same(lambda r: mv.sample_ta_batch(alpha, draw, 1.3, n, 1001, r),
-                   lambda r: _loop_ta(alpha, draw, 1.3, n, 1001, r), 12)
+    @pytest.mark.parametrize("draw, alpha, sharpness, n", [
+        pytest.param(sigma.sample_directions, alpha, sharpness, 1001,
+                     id=f"{alpha}-{sharpness}-{model}")
+        for model, sigma in MODELS.items()
+        for alpha, sharpness in [(1.0, 200), (2.0, 30), (0.5, 7)]] + [
+        pytest.param(bdlm.base_sampler, alpha, sharpness, n,
+                     id=f"{model}-{alpha}-{sharpness}-n{n}")
+        for model, bdlm in _ATOM_MODELS.items() for n in _ATOM_SIZES
+        for alpha, sharpness in _TA_ARRAYS])
+    def test_ta(self, draw, alpha, sharpness, n):
+        self._same(lambda r: mv.sample_ta_batch(alpha, draw, 1.3, sharpness, n, r),
+                   lambda r: _loop_ta(alpha, draw, 1.3, sharpness, n, r), 12)
+
+    def test_unequal_atoms_crowd_buckets(self):
+        # the r200 lookups step more than once: some bucket holds two cut points
+        atoms = _ATOM_MODELS["r200"].spectral._atom_sampler
+        crowded = np.diff(np.append(atoms.lo, len(atoms.cdf)))
+        assert crowded.max() >= 2
 
     @pytest.mark.parametrize("theta, n", _sized(_GD_THETAS, 2003))
     def test_gd(self, theta, n):
@@ -325,6 +378,35 @@ class TestStreamsPinned:
                                np.random.default_rng(15))
         np.testing.assert_array_equal(shared, 1.0)
         assert x.min() > 0.0
+
+
+class TestFiniteChunkMemory:
+    """A finite SN or TA chunk draws a block of terms at a time, and
+    ``_BLOCK``'s comment budgets its peak at 2 MiB of traced memory (about
+    0.6 MiB one term at a time). A larger block would raise a sweep's peak
+    RSS toward the benchmark's bound; this fails first."""
+
+    BUDGET = 2 << 20
+
+    @pytest.mark.parametrize("method", ["SN", "TA"])
+    def test_chunk_at_k200_peaks_within_budget(self, method):
+        sigma = _unequal_atoms(13)
+        params = mv.md_from_spectral(sigma)
+
+        def chunk():
+            rng, n = np.random.default_rng(20), mv.samplers._CHUNK
+            if method == "SN":
+                return mv.sample_sn_batch(params, 200, n, rng)
+            return mv.sample_ta_batch(1.0, sigma.sample_directions, sigma.mass, 200, n, rng)
+
+        chunk()  # the guide table is built once per batch, not per chunk
+        tracemalloc.start()
+        try:
+            chunk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BUDGET
 
 
 class TestPowUnderflowPremise:
@@ -515,6 +597,10 @@ class TestSampleBatch:
         with pytest.raises(ValidationError, match="k must be an integer"):
             mv.generate_batch(method, mv.SpectralMeasure.beta(2.0, 5.0), k, 10, seed=0)
 
+    def test_generate_batch_ta_names_k(self):
+        with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+            mv.generate_batch("TA", mv.evenly_spaced_spectral(3), 0, 10, seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, False, 1.0])
     def test_generate_batch_rejects_bad_seed(self, seed):
         with pytest.raises(ValidationError, match="seed"):
@@ -546,6 +632,27 @@ class TestSampleBatch:
                 == 7 * mv.gd_truncation_terms(1.5, 1e-12))
         assert (mv.samplers.series_terms("DS", finite, 7, 1e-12)
                 == 4 * mv.gd_truncation_terms(0.25, 1e-12))
+
+
+_SIGMA3 = mv.evenly_spaced_spectral(3)
+
+#: each public batch sampler with one size argument left open, and its name
+_SIZED = {
+    "sn-k": ("k", lambda v, r: mv.sample_sn_batch(mv.md_from_spectral(_SIGMA3), v, 10, r)),
+    "sn-n": ("n", lambda v, r: mv.sample_sn_batch(mv.md_from_spectral(_SIGMA3), 3, v, r)),
+    "ta-n_reps": ("n_reps", lambda v, r: mv.sample_ta_batch(
+        1.0, _SIGMA3.sample_directions, 1.0, 3, v, r)),
+    "gd-n": ("n", lambda v, r: mv.sample_gd_batch(1.0, 1e-12, v, r)),
+    "ds-n_reps": ("n_reps", lambda v, r: mv.sample_ds_batch(_SIGMA3, 1e-12, v, r)),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, True, "10"])
+@pytest.mark.parametrize("sampler", _SIZED)
+def test_batch_samplers_reject_bad_sizes(sampler, value):
+    name, call = _SIZED[sampler]
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 0"):
+        call(value, np.random.default_rng(0))
 
 
 class TestChunkedBatch:
