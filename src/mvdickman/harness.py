@@ -198,15 +198,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[dict]:
 
     Returns the CSV rows in deterministic cell order. The analytic truth is
     computed once and handed to every cell. Cells are independent;
-    ``workers > 1`` fans them out over processes without changing any output
-    byte (each cell owns the substream seeded by its index).
+    ``workers > 1`` fans them out over at most one process per cell without
+    changing any output byte (each cell owns the substream seeded by its
+    index).
     """
+    if not (_is_int(workers) and workers >= 1):
+        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
     cells = _plan_cells(config)
     truth = md_moments(spectral_from_json(config.model))
     todo = [(config.model, method, k, config.n_reps,
              substream_seed(config.base_seed, index, rep),
              config.gd_tol, config.timing, truth)
             for index, method, k, rep in cells]
+    workers = min(workers, len(todo))
     if workers <= 1:
         rows = [run_cell(*args) for args in todo]
     else:

@@ -496,6 +496,8 @@ class LStarParams:
         if len(g) != self.bdlm.dim:
             raise ValidationError(
                 f"gamma has dim {len(g)}, BDLM has dim {self.bdlm.dim}")
+        if not np.isfinite(g).all():
+            raise ValidationError(f"gamma must be finite, got {g!r}")
         object.__setattr__(self, "gamma", _lock(g))
 
     @property

@@ -10,6 +10,11 @@ For sphere-supported nu the tail mass and radial moments of M_alpha reduce to
 closed forms in theta alone; for general finite-support nu they are exact
 finite sums over incomplete-gamma inner integrals.
 
+The angular integrals of a beta model come from Gauss rules that NumPy builds
+(Golub & Welsch): the Gauss-Jacobi rule of the shape when it is singular at an
+end, adaptive Gauss-Legendre on the density otherwise. Only a density with no
+known form goes to QUADPACK, through ``integrate_angular``.
+
 The moment formulas are the first two derivatives of the cumulant generating
 function i<gamma, z> + int int_0^1 (e^{i r <z, y>} - 1)(-log r)^(alpha-1)
 r^(-1) dr nu(dy); the cgf itself is not exposed as an operation.
@@ -17,6 +22,7 @@ r^(-1) dr nu(dy); the cgf itself is not exposed as an operation.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from contextlib import contextmanager
@@ -103,11 +109,11 @@ class MomentSummary:
 def _quadpack():
     """Yield ``scipy.integrate.quad`` with its IntegrationWarning silenced.
 
-    Every quadrature of the package imports ``scipy.integrate`` here, on
-    first use, so that importing the package or running a finite model
-    never loads it. Callers check QUADPACK's error estimates themselves.
-    One block should cover all of a function's ``quad`` calls, since each
-    warnings filter costs a few microseconds.
+    Every QUADPACK call of the package imports ``scipy.integrate`` here, on
+    first use, so that importing the package, running a finite model or
+    taking a beta model's moments never loads it. Callers check QUADPACK's
+    error estimates themselves. One block should cover all of a function's
+    ``quad`` calls, since each warnings filter costs a few microseconds.
     """
     from scipy import integrate
 
@@ -119,13 +125,14 @@ def _quadpack():
 def integrate_angular(g, density, tol: float = _QUAD_TOL) -> float:
     """Integrate g(phi) * density(phi) over [0, 2*pi) to absolute tolerance.
 
-    Adaptive Gauss-Kronrod on the panels [0, pi] and [pi, 2*pi]. It copes
-    with a bounded density or a mild endpoint singularity but has no rule
-    for a strong one: on the beta(0.05, 0.05) density its error estimate
-    misses the tolerance. ``md_moments`` therefore takes beta shapes with
-    min(a, b) < 1 by QUADPACK's algebraic-weight rule instead (see
-    ``_beta_functionals``). Raises QuadratureError with the achieved error
-    estimate if the tolerance is not met.
+    Adaptive Gauss-Kronrod (QUADPACK's QAGS) on the panels [0, pi] and
+    [pi, 2*pi], for densities with no known form. Its extrapolation copes
+    with a bounded density or a mild endpoint singularity, but on a strong
+    one, such as the beta(0.05, 0.05) density, its error estimate misses the
+    tolerance. Beta models do not come here: ``md_moments`` takes them by
+    Gauss rules (``_gauss_legendre_integrals``, ``_gauss_jacobi_integrals``).
+    Raises QuadratureError with the achieved error estimate if the tolerance
+    is not met.
     """
     total = 0.0
     err = 0.0
@@ -148,36 +155,128 @@ _ANGULAR_FNS = (np.cos, np.sin,
                 lambda x: np.sin(x) ** 2,
                 lambda x: np.cos(x) * np.sin(x))
 
+#: orders of the two Gauss rules whose difference is the error estimate
+_GAUSS_ORDERS = (12, 24)
+#: Gauss-Legendre pieces are refined until their estimates sum to about this
+#: share of the budget: an estimate is the lower order's error, which far
+#: overstates the higher order's, but stopping at the budget itself left
+#: (1.5, 3) and (3, 1.2) 1e-11 off where QUADPACK had been within 1e-14
+_GOAL_SHARE = 1e-4
+#: a piece whose estimate is below this share of its mass is as good as the
+#: rounding of the density values lets it be: at (1000, 1000) they are up to
+#: 2200 ulps off, from their log-space form, and no estimate meets the goal
+_ROUNDING_FLOOR = 1e3 * np.finfo(float).eps
+#: bisection rounds; by then a piece is narrower than the float spacing at pi
+_MAX_ROUNDS = 60
 
-def _beta_functionals(a: float, b: float, mass: float, tol: float = _QUAD_TOL):
-    """The five angular integrals of mass * Beta(a, b) on phi = 2*pi*x.
 
-    In x the measure is mass / Z * w(x) dx with w(x) = x^(a-1) (1-x)^(b-1).
-    QUADPACK's QAWS rule integrates against w exactly, so only the smooth
-    g(2*pi*x) is sampled and the density is never evaluated. Z = B(a, b) is
-    integrated by the same rule rather than taken from ``scipy.special.beta``,
-    which is off by 2.4e-14 relative at (0.05, 200) and 7.7e-13 at
-    (0.5, 1000). Each scaled error estimate must be <= tol, or
-    QuadratureError is raised.
+def _gauss_beta(a: float, b: float, n: int):
+    """Nodes on [0, 1] and weights (summing to 1) of the n-point Gauss rule
+    for the Beta(a, b) law, by Golub & Welsch (Math. Comp. 23, 1969): the
+    nodes are the eigenvalues of the Jacobi matrix of the three-term
+    recurrence, the weights the squared first components of its eigenvectors.
+
+    The first diagonal entry (the mean a/s) and the first off-diagonal one
+    (the variance) are written out, since the generic terms are 0/0 at
+    s = a + b = 2 and s = 1.
     """
-    with _quadpack() as quad:
-        def integral(g, epsabs, epsrel):
-            return quad(g, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0),
-                        epsabs=epsabs, epsrel=epsrel, limit=400)
+    s = a + b
+    k = np.arange(1.0, n)
+    t = 2.0 * k + s - 2.0
+    diag = np.empty(n)
+    diag[0] = a / s
+    diag[1:] = 0.5 + 0.5 * (a - b) * (s - 2.0) / (t * (t + 2.0))
+    off2 = np.empty(n - 1)
+    off2[0] = a * b / (s * s * (s + 1.0))
+    k, t = k[1:], t[1:]
+    off2[1:] = (k * (k + a - 1.0) * (k + b - 1.0) * (k + s - 2.0)
+                / (t * t * (t + 1.0) * (t - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
+    return nodes, vectors[0] ** 2
 
-        z, e = integral(np.ones_like, 0.0, 1e-13)
-        scale = mass / z
-        values, errs = [], [scale * e]
-        for g in _ANGULAR_FNS:
-            v, e = integral(lambda x: g(TWO_PI * x), tol / (4.0 * scale), 1e-12)
-            values.append(scale * v)
-            errs.append(scale * e)
-    err = float(np.max(errs))  # NaN, if any, propagates and fails the check
+
+@functools.cache
+def _legendre_pair():
+    """The Gauss-Legendre rules of ``_GAUSS_ORDERS`` on [0, 1], nodes side by
+    side and each order's weights padded with zeros over the other's nodes;
+    read-only, since every call shares them."""
+    rules = [_gauss_beta(1.0, 1.0, n) for n in _GAUSS_ORDERS]
+    nodes = np.concatenate([x for x, _ in rules])
+    weights = np.zeros((len(nodes), 2))
+    weights[:_GAUSS_ORDERS[0], 0] = rules[0][1]
+    weights[_GAUSS_ORDERS[0]:, 1] = rules[1][1]
+    return _lock(nodes), _lock(weights)
+
+
+def _moment_integrands(phi):
+    """cos, sin, cos^2, sin^2 and cos*sin of phi, stacked on a new first axis."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack((c, s, c * c, s * s, c * s))
+
+
+def _gauss_legendre_integrals(density, tol: float = _QUAD_TOL) -> np.ndarray:
+    """The five angular integrals of a bounded density on [0, 2*pi).
+
+    Adaptive bisection of [0, pi] and [pi, 2*pi] with the Gauss-Legendre
+    pair of ``_legendre_pair`` on each piece. Each round evaluates
+    ``density`` once, on the nodes of all the pieces still open, and the
+    five integrands share those values and one cos and sin. A piece's error
+    estimate is the largest difference between its two orders. A piece is
+    closed once its estimate is at most goal / (number of pieces), with goal
+    = ``_GOAL_SHARE`` * tol, or at most ``_ROUNDING_FLOOR`` times its mass;
+    the others are halved. The summed estimate of the closed pieces must be
+    <= tol, or QuadratureError is raised.
+    """
+    nodes, weights = _legendre_pair()
+    goal = _GOAL_SHARE * tol
+    lo = np.array([0.0, math.pi])
+    width = np.array([math.pi, math.pi])
+    total = np.zeros(5)
+    err, n_closed = 0.0, 0
+    for _ in range(_MAX_ROUNDS):
+        phi = lo[:, None] + width[:, None] * nodes
+        f = density(phi)
+        pair = (_moment_integrands(phi) * f) @ weights * width[:, None]
+        est = np.abs(pair[..., 1] - pair[..., 0]).max(axis=0)
+        # the floor scales the piece's mass, its cos^2 plus sin^2 integral;
+        # a NaN estimate closes its piece, so that err is NaN
+        floor = _ROUNDING_FLOOR * (pair[2, :, 1] + pair[3, :, 1])
+        close = ~((est > goal / (n_closed + len(est))) & (est > floor))
+        total += pair[:, close, 1].sum(axis=1)
+        err += est[close].sum()
+        n_closed += int(close.sum())
+        if close.all():
+            break
+        lo, width = lo[~close], 0.5 * width[~close]
+        lo, width = np.concatenate((lo, lo + width)), np.concatenate((width, width))
+    else:
+        err = math.inf  # pieces were left open
+    if not err <= tol:  # a NaN estimate fails too
+        raise QuadratureError(
+            f"Gauss-Legendre moment quadrature reached abs error {err:.3e} > {tol:.1e}",
+            achieved=err)
+    return total
+
+
+def _gauss_jacobi_integrals(a: float, b: float, tol: float = _QUAD_TOL) -> np.ndarray:
+    """The five angular integrals of the Beta(a, b) law of phi / (2*pi).
+
+    The Gauss rule of Beta(a, b) itself (``_gauss_beta``) integrates against
+    x^(a-1) (1-x)^(b-1) exactly, so it carries endpoint singularities of any
+    strength and samples only the smooth cos and sin; the density is never
+    evaluated. Its weights sum to 1, so no B(a, b) or 2*pi power is formed
+    and none can overflow or underflow. The estimate is the largest
+    difference between the two orders of ``_GAUSS_ORDERS``; it must be
+    <= tol, or QuadratureError is raised.
+    """
+    low, high = (_moment_integrands(TWO_PI * x) @ w
+                 for x, w in (_gauss_beta(a, b, n) for n in _GAUSS_ORDERS))
+    err = float(np.abs(high - low).max())
     if not err <= tol:
         raise QuadratureError(
-            f"beta({a:g}, {b:g}) moment quadrature reached abs error "
+            f"beta({a:g}, {b:g}) Gauss-Jacobi moment quadrature reached abs error "
             f"{err:.3e} > {tol:.1e}", achieved=err)
-    return tuple(values)
+    return high
 
 
 def _atom_sums(points, weights):
@@ -189,24 +288,33 @@ def _integrals(sigma: SpectralMeasure):
     """(integral of s dsigma, integral of s s^T dsigma), the one place a
     spectral measure's representation decides how its moments are computed.
 
-    Exact sums for finite support. For an angular measure, QAWS on beta shapes
-    with min(a, b) < 1, where the density is singular at an end, and
-    Gauss-Kronrod on the density otherwise; QAWS is no substitute on smooth
-    shapes (at (50, 50) its error estimate is 3e-8, over the 1e-10 budget).
+    Exact sums for finite support. For an angular measure: on beta shapes
+    with min(a, b) < 1, where the density is singular at an end, the
+    Gauss-Jacobi rule of the shape; on other beta shapes, adaptive
+    Gauss-Legendre on the density; on any other density, Gauss-Kronrod.
     The cos^2 and sin^2 integrals must add up to the mass within 1e-8, which
-    catches a density that underflowed to 0.
+    catches a density that underflowed to 0. A beta model's integrals are
+    then scaled by mass / (that sum), so that the rule normalizes the
+    density itself: ``scipy.special``'s B(a, b) behind the density is off by
+    up to 1e-12 relative near a + b = 1000.
     """
     if sigma.variant == FINITE:
         return _atom_sums(sigma.directions, sigma.masses)
-    if sigma.beta_params is not None and min(sigma.beta_params) < 1.0:
-        c, s, c2, s2, cs = _beta_functionals(*sigma.beta_params, sigma.mass)
+    if sigma.beta_params is None:
+        values = np.array([integrate_angular(g, sigma.density) for g in _ANGULAR_FNS])
+    elif min(sigma.beta_params) < 1.0:
+        values = sigma.mass * _gauss_jacobi_integrals(*sigma.beta_params)
     else:
-        c, s, c2, s2, cs = (integrate_angular(g, sigma.density) for g in _ANGULAR_FNS)
-    gap = abs(c2 + s2 - sigma.mass)
+        values = _gauss_legendre_integrals(sigma.density)
+    mass = values[2] + values[3]
+    gap = abs(mass - sigma.mass)
     if not gap <= _MASS_CHECK_TOL:
         raise QuadratureError(
-            f"angular moment integrals carry mass {c2 + s2!r}, not the "
+            f"angular moment integrals carry mass {mass!r}, not the "
             f"declared {sigma.mass!r}", achieved=gap)
+    if sigma.beta_params is not None:
+        values *= sigma.mass / mass
+    c, s, c2, s2, cs = values
     return np.array([c, s]), np.array([[c2, cs], [cs, s2]])
 
 
@@ -252,9 +360,9 @@ def md_moments(sigma: SpectralMeasure) -> MomentSummary:
         E[X] = integral of s dsigma,  cov(X) = 1/2 integral of s s^T dsigma.
 
     Exact sums for finite support; for bivariate densities, quadrature to an
-    absolute 1e-10 per integral: by the algebraic-weight rule on beta shapes
-    with min(a, b) < 1, by Gauss-Kronrod on the density otherwise. For a
-    sigma known only through a sampler, use ``lstar_moments`` on
+    absolute 1e-10 per integral: by Gauss rules on beta shapes (see
+    ``_integrals``), by Gauss-Kronrod on any other density. For a sigma
+    known only through a sampler, use ``lstar_moments`` on
     ``BDLM.from_sampler`` with its moment data.
     """
     sigma.validate()

@@ -193,8 +193,9 @@ def gd_truncation_terms(theta: float, tol: float) -> int:
     has expectation (theta/(theta+1))^i, so the remainder after k terms sums
     to (theta+1) * (theta/(theta+1))^(k+1).
     """
-    if theta <= 0 or tol <= 0:
-        raise ValidationError("theta and tol must be > 0")
+    if not (0 < theta < math.inf and tol > 0):  # NaN fails too
+        raise ValidationError(f"theta must be finite and > 0 and tol > 0, got "
+                              f"theta={theta!r}, tol={tol!r}")
     if theta + 1.0 <= tol:
         return 0
     q = theta / (theta + 1.0)
@@ -366,8 +367,8 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
     """
     _check_count("k", k)
     _check_count("n", n)
-    if T <= 0:
-        raise ValidationError("T must be > 0")
+    if not 0 < T < math.inf:
+        raise ValidationError(f"T must be finite and > 0, got {T!r}")
     t_theta, draw = T * params.bdlm.theta, params.bdlm.base_sampler
     out = np.empty((params.dim, n))
     out[...] = (T * params.gamma)[:, None]
@@ -387,8 +388,8 @@ def sample_levy_path(params: LStarParams, T: float, k: int,
     Each term contributes the jump w_i Y_i at the uniformly placed time T*V_i;
     the marginal at t is the partial series restricted to times <= t.
     """
-    if T <= 0:
-        raise ValidationError("T must be > 0")
+    if not 0 < T < math.inf:
+        raise ValidationError(f"T must be finite and > 0, got {T!r}")
     if k < 0:
         raise ValidationError("k must be >= 0")
     bdlm = params.bdlm
@@ -410,8 +411,9 @@ def ta_term_count(alpha: float, c: float, n: int) -> int:
     """Number of array terms, floor(c * n^alpha / alpha)."""
     if n <= 0:
         raise ValidationError("n must be >= 1")
-    if alpha <= 0 or c <= 0:
-        raise ValidationError("alpha and c must be > 0")
+    if not (0 < alpha < math.inf and 0 < c < math.inf):
+        raise ValidationError(f"alpha and c must be finite and > 0, got "
+                              f"alpha={alpha!r}, c={c!r}")
     try:
         return int(math.floor(c * float(n) ** alpha / alpha))
     except OverflowError:

@@ -166,6 +166,36 @@ class TestRunExperiment:
         parallel = mv.rows_to_csv(mv.run_experiment(config, workers=2))
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers", ["2", 0, -1, 2.0, True])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be an integer"):
+            mv.run_experiment(small_config(), workers=workers)
+
+    def test_workers_capped_at_the_cell_count(self, monkeypatch):
+        # a stand-in pool records max_workers and maps in this process
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr("mvdickman.harness.ProcessPoolExecutor", Pool)
+        config = small_config(n_reps=64)
+        n_cells = len(_plan_cells(config))
+        rows = mv.run_experiment(config, workers=64)
+        assert seen == [n_cells] and len(rows) == n_cells
+        assert mv.run_experiment(config, workers=3) == rows
+        assert seen == [n_cells, 3]
+
     def test_truth_computed_once_per_experiment(self, monkeypatch):
         config = small_config(model=BETA25, methods=("SN", "TA", "DS"), k_grid=(1, 4))
         per_cell = mv.rows_to_csv([

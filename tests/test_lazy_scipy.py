@@ -1,5 +1,5 @@
-"""SciPy is loaded only by the code that runs a quadrature or a special
-function, and QUADPACK's IntegrationWarning stays inside the package."""
+"""SciPy is loaded only by the code that runs a QUADPACK quadrature or a
+special function, and no warning of the package's quadratures escapes it."""
 
 import json
 import os
@@ -47,9 +47,13 @@ class TestImportPolicy:
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
 
-    def test_beta_truth_loads_integrate(self):
-        loaded = _scipy_modules_after("mv.md_moments(mv.SpectralMeasure.beta(2, 5))")
-        assert "scipy.integrate" in loaded
+    def test_beta_truths_load_no_integrate(self):
+        # Gauss-Legendre on (2, 5), Gauss-Jacobi on (0.05, 0.05): no QUADPACK
+        loaded = _scipy_modules_after(
+            "mv.md_moments(mv.SpectralMeasure.beta(2, 5))\n"
+            "mv.md_moments(mv.SpectralMeasure.beta(0.05, 0.05))")
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
 
 
 def _beta_density(a, b):
@@ -59,11 +63,14 @@ def _beta_density(a, b):
 @pytest.mark.parametrize("run", [
     lambda: mv.md_moments(mv.SpectralMeasure.beta(2.0, 5.0)),
     lambda: mv.md_moments(mv.SpectralMeasure.beta(0.05, 0.05)),
+    lambda: mv.md_moments(mv.SpectralMeasure.beta(0.5, 0.5)),
+    lambda: mv.md_moments(mv.SpectralMeasure.beta(0.3, 0.7)),
     lambda: mv.SpectralMeasure.angular(_beta_density(0.2, 0.3), mass=1.0),
     lambda: mv.discretize_angular(
         mv.SpectralMeasure.angular(_beta_density(0.2, 0.3), mass=1.0),
         mv.default_grid(1)),
-], ids=["md-beta-2-5", "md-beta-0.05-0.05", "angular-0.2-0.3", "cells-0.2-0.3-k1"])
+], ids=["md-beta-2-5", "md-beta-0.05-0.05", "md-beta-0.5-0.5", "md-beta-0.3-0.7",
+        "angular-0.2-0.3", "cells-0.2-0.3-k1"])
 def test_no_integration_warning_escapes(run):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

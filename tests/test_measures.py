@@ -332,6 +332,12 @@ class TestMdFromSpectral:
         with pytest.raises(ValidationError):
             mv.LStarParams(alpha=1.0, bdlm=bd, gamma=[0.0, 0.0])
 
+    @pytest.mark.parametrize("gamma", [[math.nan], [math.inf], [-math.inf]])
+    def test_gamma_must_be_finite(self, gamma):
+        bd = mv.BDLM.from_atoms([[1.0]], [1.0])
+        with pytest.raises(ValidationError, match="gamma must be finite"):
+            mv.LStarParams(alpha=1.0, bdlm=bd, gamma=gamma)
+
     def test_rejects_mass_not_summing_atoms(self):
         # one unit atom declared with total mass 2: theta and the atoms disagree
         bad = mv.SpectralMeasure(variant="finite", dim=2, mass=2.0,

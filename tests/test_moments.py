@@ -5,12 +5,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import mvdickman as mv
 from mvdickman.errors import QuadratureError, UnsupportedMeasureError, ValidationError
-from mvdickman.moments import (INSIDE, OUTSIDE, MomentSummary, _beta_functionals,
-                               bdlm_integrals)
+from mvdickman.moments import (INSIDE, OUTSIDE, MomentSummary, _gauss_jacobi_integrals,
+                               _gauss_legendre_integrals, bdlm_integrals)
 
 # Brute-force Monte Carlo integration oracle, 1e8 beta-angle draws per pair
 # (pre-build verification run); agreement required to 3 decimals.
@@ -115,8 +117,8 @@ class TestMdMoments:
         lambda: mv.SpectralMeasure.from_angles(
             np.random.default_rng(11).random(200) * 2 * np.pi,
             np.random.default_rng(12).random(200) + 0.1),
-        lambda: mv.SpectralMeasure.beta(2.0, 5.0),      # Gauss-Kronrod
-        lambda: mv.SpectralMeasure.beta(0.2, 0.3),      # QAWS
+        lambda: mv.SpectralMeasure.beta(2.0, 5.0),      # Gauss-Legendre
+        lambda: mv.SpectralMeasure.beta(0.2, 0.3),      # Gauss-Jacobi
     ], ids=["finite-r200", "beta(2,5)", "beta(0.2,0.3)"])
     def test_is_exactly_the_lstar_1_case(self, make_sigma):
         sigma = make_sigma()
@@ -180,16 +182,33 @@ def _counting_density(sigma):
 
 
 class TestBetaMomentOracle:
-    """Both quadrature paths of the beta truth against 1F1 at 40 digits."""
+    """Both Gauss rules of the beta truth against 1F1 at 40 digits."""
 
     @pytest.mark.parametrize("ab", [(2.0, 5.0), (5.0, 1.0), (1.0, 1.0), (0.5, 0.5),
                                     (0.2, 0.3), (0.05, 0.05), (0.5, 50.0),
-                                    (0.05, 200.0)])
+                                    (0.05, 200.0),
+                                    # mass crowded next to phi = 0
+                                    (0.05, 2000.0),
+                                    # a derivative singular at an end, where
+                                    # Gauss-Legendre must bisect many times
+                                    (1.5, 3.0), (3.0, 1.2), (1.01, 7.0),
+                                    # a + b = 1, where the generic first
+                                    # recurrence term is 0/0
+                                    (0.3, 0.7)])
     def test_against_hyp1f1(self, ab):
         s = mv.md_moments(mv.SpectralMeasure.beta(*ab, 1.0))
         mean, cov = _hyp1f1_moments(*ab, 1.0)
         np.testing.assert_allclose(s.mean, mean, atol=1e-14, rtol=0)
         np.testing.assert_allclose(s.cov, cov, atol=1e-14, rtol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_ab=st.tuples(*[st.floats(math.log(1e-3), math.log(1e3))] * 2))
+    def test_log_uniform_shapes_against_hyp1f1(self, log_ab):
+        ab = tuple(math.exp(x) for x in log_ab)
+        s = mv.md_moments(mv.SpectralMeasure.beta(*ab, 1.0))
+        mean, cov = _hyp1f1_moments(*ab, 1.0)
+        np.testing.assert_allclose(s.mean, mean, atol=1e-13, rtol=0)
+        np.testing.assert_allclose(s.cov, cov, atol=1e-13, rtol=0)
 
     def test_scales_with_mass(self):
         s = mv.md_moments(mv.SpectralMeasure.beta(0.2, 0.3, 3.5))
@@ -214,14 +233,12 @@ class TestBetaMomentOracle:
         assert (calls[0] > 0) == density_used
 
     def test_over_budget_error_estimate_raises(self):
-        with pytest.raises(QuadratureError) as info:
-            _beta_functionals(0.5, 0.5, 1.0, tol=1e-30)
-        assert info.value.achieved is not None and info.value.achieved > 1e-30
-
-    def test_unresolved_shape_raises_rather_than_returning_nan(self):
-        # QAWS returns NaN with a NaN error estimate at (0.05, 2000)
-        with pytest.raises(QuadratureError):
-            mv.md_moments(mv.SpectralMeasure.beta(0.05, 2000.0, 1.0))
+        density = mv.SpectralMeasure.beta(2.0, 5.0, 1.0).density
+        for rule in (lambda: _gauss_jacobi_integrals(0.5, 0.5, tol=1e-30),
+                     lambda: _gauss_legendre_integrals(density, tol=1e-30)):
+            with pytest.raises(QuadratureError) as info:
+                rule()
+            assert info.value.achieved is not None and info.value.achieved > 1e-30
 
     @pytest.mark.parametrize("ab", [(50.0, 50.0), (150.0, 150.0), (198.0, 198.0),
                                     (198.5, 198.5), (300.0, 300.0), (1000.0, 1000.0)])

@@ -34,6 +34,13 @@ class TestGdTruncation:
         with pytest.raises(ValidationError):
             mv.gd_truncation_terms(1.0, 0.0)
 
+    @pytest.mark.parametrize("theta, tol", [(math.inf, 1e-12), (math.nan, 1e-12),
+                                            (1.0, math.nan)])
+    def test_non_finite_inputs_rejected(self, theta, tol):
+        # theta = inf once ended in "math domain error" inside sample_gd_batch
+        with pytest.raises(ValidationError, match="finite"):
+            mv.sample_gd_batch(theta, tol, 4, np.random.default_rng(0))
+
 
 class TestSampleGd:
     def test_theta_one_moments(self):
@@ -110,6 +117,15 @@ class TestSampleSn:
         with pytest.raises(ValidationError):
             mv.sample_sn_batch(params, -1, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        # T = nan once returned rows of NaN
+        params = mv.gd_params(1.0)
+        with pytest.raises(ValidationError, match="T must be finite"):
+            mv.sample_sn_batch(params, 3, 10, np.random.default_rng(0), T=T)
+        with pytest.raises(ValidationError, match="T must be finite"):
+            mv.sample_levy_path(params, T, 3, np.random.default_rng(0))
+
 
 class TestSampleTa:
     def test_term_count(self):
@@ -120,6 +136,14 @@ class TestSampleTa:
             mv.ta_term_count(1.0, 1.0, 0)
         with pytest.raises(ValidationError, match="1e308 terms"):
             mv.ta_term_count(1.0, 1e308, 5)
+
+    @pytest.mark.parametrize("alpha, c", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_alpha_or_c_rejected(self, alpha, c):
+        # alpha = nan once escaped ta_term_count as a ValueError from floor
+        with pytest.raises(ValidationError, match="finite"):
+            mv.sample_ta_batch(alpha, lambda rng, m: np.ones((m, 1)), c, 5, 4,
+                               np.random.default_rng(0))
 
     def test_sampler_called_once_per_term(self):
         calls = []
