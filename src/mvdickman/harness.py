@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, ValidationError
-from .measures import model_label, spectral_from_json
+from .measures import _is_int, model_label, spectral_from_json
 from .moments import MomentSummary, md_moments
-from .samplers import _is_int, check_cell_work, generate_batch, series_terms
+from .samplers import check_cell_work, generate_batch, series_terms
 from .stats import empirical_moments, error_metric
 
 METHODS = ("SN", "TA", "DS")

@@ -82,6 +82,17 @@ def _lock(a):
     return a
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is an integer
+    >= ``least``."""
+    if not (_is_int(value) and value >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class _AtomSampler:
     """Draws of ``points[i]`` with probability ``weights[i] / total``.
 
@@ -321,8 +332,7 @@ class SpectralMeasure:
 
 def evenly_spaced_spectral(r: int, mass: float = 1.0) -> SpectralMeasure:
     """Finite bivariate measure with r evenly spaced directions of equal mass."""
-    if r < 1:
-        raise ValidationError("r must be >= 1")
+    _check_count("r", r, 1)
     angles = TWO_PI * np.arange(r) / r
     return SpectralMeasure.from_angles(angles, np.full(r, mass / r))
 

@@ -21,38 +21,39 @@ multi-chunk batch run on one per-process thread pool with a thread per usable
 CPU, since NumPy's generator fills and ufuncs release the GIL; the rows are
 joined in chunk order, so the output does not depend on the thread count.
 
-SN and TA sum one weighted series sum_i w_i Y_i in the private kernel
-``_series``; only the weights (``_sn_weights``, ``_ta_weights``) differ. The
-generalized Dickman (GD) draws behind DS are the same series for a unit point
-mass, Y_i = 1, with SN's alpha = 1 weights.
+SN and TA sum one weighted series sum_i w_i Y_i; the generalized Dickman
+(GD) draws behind DS are the same series for a unit point mass, Y_i = 1,
+with SN's alpha = 1 weights. Each weight scheme is a weigher: it turns an
+(m, n) block of weight variates, in place, into the next m weights in term
+order, and carries its state across blocks. ``_unit_sn_weigher`` takes
+uniforms (SN at alpha = 1, GD), ``_epoch_weigher`` exponentials (SN at
+alpha != 1) and ``_ta_weigh`` uniforms (TA).
 
 The kernels make few, long NumPy calls per term, each bit for bit the
-per-term arithmetic. ``sample_gd_batch`` draws its uniforms as (b, n) blocks
-of at most ``_BLOCK`` elements, the same stream as b calls of
-``random(n)``, and raises a block to its power in one call. Directions and
-sums are coordinate-major: the package's direction samplers return the
-(n, d) transpose of a C-ordered (d, n) array, and SN, TA and DS add each
-term into a (d, n) buffer with one multiply and one add whose inner loops
-run over the n rows; only the returned (n, d) batch is C-ordered. And the
-end cells of a discretized beta model have masses down to about 1e-11, so
-U^(1/theta) underflows on most lanes, and pow spends about 135 ns on each to
-return +0; ``_uniform_powers`` keeps such lanes off pow's slow path.
+per-term arithmetic. ``_uniform_blocks`` draws the uniforms of b terms in
+one call into a block of at most ``_BLOCK`` elements, the stream of b
+per-term calls, and a weigher powers a block in one call; GD takes (b, n)
+blocks. Directions and sums are coordinate-major: the package's direction
+samplers return the (n, d) transpose of a C-ordered (d, n) array, and SN,
+TA and DS add each term into a (d, n) buffer with one multiply and one add
+whose inner loops run over the n rows; only the returned (n, d) batch is
+C-ordered. And the end cells of a discretized beta model have masses down
+to about 1e-11, so U^(1/theta) underflows on most lanes, and pow spends
+about 135 ns on each to return +0; ``_uniform_powers`` keeps such lanes off
+pow's slow path.
 
-On a finite measure a term's weight and direction are both drawn from plain
-uniforms, so SN at alpha = 1 and TA at any alpha draw the uniforms of b terms
-in one call into a (b, 2, n) block of at most ``_BLOCK`` elements
-(``_atom_series``): row [t, 0] holds term t's weight uniforms and row [t, 1]
-its direction uniforms, the stream of the per-term calls. A block takes one
-pass for its weights and one guide-table lookup (``_AtomSampler.indices``)
-for its directions; then each term gathers its atoms into the (d, n) buffer
-and is multiplied and added in term order, bit for bit. This is chosen when
-the direction sampler is the package's atom sampler: a finite
-SpectralMeasure's ``sample_directions`` or a ``BDLM.from_atoms`` sampler.
-Every other case keeps the per-term ``_series`` loop: beta angles, as
-``rng.beta`` takes a variable number of stream values; SN at alpha != 1,
-whose exponentials are drawn by ziggurat; samplers from
-``BDLM.from_sampler``, whose draws are unknown; and DS, which sums one GD
-series per atom.
+On a finite measure a term's weight and direction are both plain uniforms,
+so SN at alpha = 1 and TA take (b, 2, n) blocks (``_atom_series``): row
+[t, 0] holds term t's weight uniforms and row [t, 1] its direction
+uniforms. A block takes one pass for its weights and one guide-table lookup
+(``_AtomSampler.indices``) for its directions; then each term gathers its
+atoms into the (d, n) buffer and is added in term order. This is chosen
+when the direction sampler is a finite SpectralMeasure's
+``sample_directions`` or a ``BDLM.from_atoms`` sampler. Every other case
+runs ``_series``, one term at a time: beta angles, as ``rng.beta`` takes a
+variable number of stream values; SN at alpha != 1, whose exponentials are
+drawn by ziggurat; and ``BDLM.from_sampler`` samplers, whose draws are
+unknown. DS sums one GD series per atom.
 
 Normalization note: the shot-noise weights used here are
 ``exp(-(alpha * Gamma_i / (T * theta))^(1/alpha))`` with unit-rate arrival
@@ -72,9 +73,7 @@ drift part contributes gamma).
 
 from __future__ import annotations
 
-import itertools
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -83,11 +82,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedMeasureError, ValidationError
-from .measures import FINITE, LStarParams, SpectralMeasure, _AtomSampler, _lock
+from .measures import (FINITE, LStarParams, SpectralMeasure, _AtomSampler, _check_count,
+                       _is_int, _lock, md_from_spectral)
 
 _DEFAULT_GD_TOL = 1e-12
 
-#: share of lanes whose power underflows above which ``_sn_weights`` masks
+#: share of lanes whose power underflows above which ``_uniform_powers`` masks
 #: them. On a 2-vCPU AVX-512 Xeon with NumPy 2.4, pow spent about 135 ns on
 #: each such lane and the three mask calls about 1.4 ns a lane, so the two
 #: cost the same near 1%.
@@ -212,58 +212,54 @@ def sample_gd_batch(theta: float, tol: float, n: int, rng: np.random.Generator) 
 
     Returns sum_{i=1..k} (U_1 ... U_i)^(1/theta) with k from
     ``gd_truncation_terms``, so the expected absolute truncation error is at
-    most ``tol``: the alpha = 1 shot-noise series of a unit point mass.
-
-    The uniforms are drawn as (b, n) blocks of at most ``_BLOCK`` elements
-    (one row if n is larger), the same stream as b calls of ``random(n)``,
-    and raised to 1/theta once per block; the running product and the sum
-    then take one row at a time, in term order, as the per-term series does.
-    No block reaches past term k.
+    most ``tol``: the alpha = 1 shot-noise series of a unit point mass, its
+    uniforms drawn in (b, n) blocks by ``_uniform_blocks`` and weighed by
+    ``_unit_sn_weigher``.
     """
     _check_count("n", n)
-    terms = gd_truncation_terms(theta, tol)
-    rows = max(min(terms, _BLOCK // max(n, 1)), 1)
-    block, low = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
-    w, out = np.ones(n), np.zeros(n)
-    for start in range(0, terms, rows):
-        u = _uniform_powers(rng.random(out=block[:terms - start]), theta,
-                            low[:terms - start])
-        # row by row: np.multiply.accumulate and np.add.accumulate along
-        # axis 0 of a (6, 8192) block took ten times as long
-        for row in u:
-            out += np.multiply(w, row, out=w)
+    weigh, out = _unit_sn_weigher(theta, n), np.zeros(n)
+    for block in _uniform_blocks(gd_truncation_terms(theta, tol), (n,), rng):
+        for w in weigh(block):
+            out += w
     return out
 
 
 # --------------------------------------------------------------------------
-# the weighted series shared by SN and TA
+# the weighted series shared by SN, TA and GD
 # --------------------------------------------------------------------------
 
-def _series(weights, terms, draw, rng, out):
+def _uniform_blocks(terms, shape, rng):
+    """Yield the uniforms of ``terms`` terms of ``shape`` each as blocks of at
+    most ``_BLOCK`` elements (one term if a term is larger) in one reused
+    buffer, the stream of one ``random(shape)`` call per term."""
+    rows = max(min(terms, _BLOCK // max(math.prod(shape), 1)), 1)
+    block = np.empty((rows, *shape))
+    for start in range(0, terms, rows):
+        yield rng.random(out=block[:terms - start])
+
+
+def _series(weigh, variates, terms, draw, rng, out):
     """Add the first ``terms`` terms w_i * Y_i to the (d, n) array ``out`` and
-    return it: w_i from the ``weights`` generator, then the (n, d) array
-    Y_i = ``draw(rng, n)``, read through its (d, n) transpose, which is
+    return it. Per term, the weigher ``weigh`` turns the variates
+    ``variates(out=<(1, n) buffer>)`` into w_i; then the (n, d) array
+    Y_i = ``draw(rng, n)`` is read through its (d, n) transpose, which is
     C-ordered for the package's direction samplers. Y_i is only read, as a
     sampler may return a shared array."""
-    buf = np.empty_like(out)
-    for w in itertools.islice(weights, terms):
-        out += np.multiply(draw(rng, len(w)).T, w, out=buf)
+    buf, v = np.empty_like(out), np.empty((1, out.shape[1]))
+    for _ in range(terms):
+        for w in weigh(variates(out=v)):
+            out += np.multiply(draw(rng, len(w)).T, w, out=buf)
     return out
 
 
 def _atom_series(weigh, terms, atoms, rng, out):
-    """``_series`` for directions from the ``_AtomSampler`` ``atoms``, drawn
-    a block of terms at a time: the uniforms of b terms come from one call
-    into a (b, 2, n) block, weight uniforms in row [t, 0] and direction
-    uniforms in row [t, 1], the stream of the per-term calls. ``weigh(u)``
-    turns the (m, n) weight uniforms of a block, in place, into the m terms'
-    weights in term order; one lookup maps all the direction uniforms to
-    atoms, and each term gathers its atoms into one (d, n) buffer."""
-    n = out.shape[1]
-    rows = max(min(terms, _BLOCK // max(2 * n, 1)), 1)
-    block, y = np.empty((rows, 2, n)), np.empty_like(out)
-    for start in range(0, terms, rows):
-        u = rng.random(out=block[:terms - start])
+    """``_series`` for uniform weight variates and directions from the
+    ``_AtomSampler`` ``atoms``, a (b, 2, n) block of terms at a time: row
+    [t, 0] holds term t's weight uniforms, row [t, 1] its direction uniforms.
+    One lookup maps a block's direction uniforms to atoms, and each term
+    gathers its atoms into one (d, n) buffer."""
+    y = np.empty_like(out)
+    for u in _uniform_blocks(terms, (2, out.shape[1]), rng):
         for w, i in zip(weigh(u[:, 0]), atoms.indices(u[:, 1])):
             # the indices are in range; "clip" lets take write y unbuffered
             atoms.columns.take(i, axis=1, out=y, mode="clip")
@@ -312,28 +308,31 @@ def _uniform_powers(u, t_theta, low):
 
 
 def _unit_sn_weigher(t_theta, n):
-    """The function that turns an (m, n) block of uniforms U, in place, into
+    """The weigher that turns an (m, n) block of uniforms U, in place, into
     the alpha = 1 shot-noise weights of the next m terms, yielded in one (n,)
     buffer: the running product of U^(1/t_theta), carried across calls. It
     has the law of exp(-Gamma_i / t_theta) without exponentials."""
     w = np.ones(n)
 
     def weigh(u):
+        # row by row: np.multiply.accumulate and np.add.accumulate along
+        # axis 0 of a (6, 8192) block took ten times as long
         for row in _uniform_powers(u, t_theta, np.empty(u.shape, dtype=bool)):
             yield np.multiply(w, row, out=w)
     return weigh
 
 
-def _sn_weights(alpha, t_theta, n, rng):
-    """Yield the shot-noise weights of terms 1, 2, ..., in one (n,) buffer."""
-    if alpha == 1.0:
-        weigh, u = _unit_sn_weigher(t_theta, n), np.empty((1, n))
-        while True:
-            yield from weigh(rng.random(out=u))
-    w, u, g = np.empty(n), np.empty(n), np.zeros(n)
-    while True:
-        g += rng.standard_exponential(out=u)
-        yield _epoch_weights(g, alpha, t_theta, w)
+def _epoch_weigher(alpha, t_theta, n):
+    """The weigher that turns an (m, n) block of exponentials E, in place,
+    into the shot-noise weights of the next m terms at the epochs
+    Gamma_i = E_1 + ... + E_i, whose running sum it carries across calls."""
+    g = np.zeros(n)
+
+    def weigh(e):
+        for row in e:
+            np.add(g, row, out=g)
+            yield _epoch_weights(g, alpha, t_theta, row)
+    return weigh
 
 
 def _ta_weigh(u, alpha, npow):
@@ -343,13 +342,6 @@ def _ta_weigh(u, alpha, npow):
     np.subtract(1.0, u, out=u)
     u **= npow
     return u
-
-
-def _ta_weights(alpha, npow, n, rng):
-    """Yield the triangular-array weights of each term in one (n,) buffer."""
-    w = np.empty(n)
-    while True:
-        yield _ta_weigh(rng.random(out=w), alpha, npow)
 
 
 # --------------------------------------------------------------------------
@@ -373,10 +365,13 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
     out = np.empty((params.dim, n))
     out[...] = (T * params.gamma)[:, None]
     atoms = _atoms_behind(draw)
-    if params.alpha == 1.0 and atoms is not None:
+    if params.alpha != 1.0:
+        weigh = _epoch_weigher(params.alpha, t_theta, n)
+        out = _series(weigh, rng.standard_exponential, k, draw, rng, out)
+    elif atoms is not None:
         out = _atom_series(_unit_sn_weigher(t_theta, n), k, atoms, rng, out)
     else:
-        out = _series(_sn_weights(params.alpha, t_theta, n, rng), k, draw, rng, out)
+        out = _series(_unit_sn_weigher(t_theta, n), rng.random, k, draw, rng, out)
     return np.ascontiguousarray(out.T)
 
 
@@ -390,8 +385,7 @@ def sample_levy_path(params: LStarParams, T: float, k: int,
     """
     if not 0 < T < math.inf:
         raise ValidationError(f"T must be finite and > 0, got {T!r}")
-    if k < 0:
-        raise ValidationError("k must be >= 0")
+    _check_count("k", k)
     bdlm = params.bdlm
     if k == 0:
         return LevyPathSkeleton(T, params.gamma, np.empty(0), np.empty((0, bdlm.dim)))
@@ -439,14 +433,14 @@ def sample_ta_batch(alpha: float, nu0_sampler, c: float, n: int, n_reps: int,
     terms = ta_term_count(alpha, c, n)
     d = np.atleast_2d(np.asarray(nu0_sampler(rng, 1), dtype=float)).shape[1]  # probe draw
     out, atoms = np.zeros((d, n_reps)), _atoms_behind(nu0_sampler)
+    weigh = lambda u: _ta_weigh(u, alpha, float(n))
     if atoms is not None:
-        out = _atom_series(lambda u: _ta_weigh(u, alpha, float(n)), terms, atoms,
-                           rng, out)
+        out = _atom_series(weigh, terms, atoms, rng, out)
     else:
         def draw(rng, m):
             return np.asarray(nu0_sampler(rng, m), dtype=float).reshape(m, d)
 
-        out = _series(_ta_weights(alpha, float(n), n_reps, rng), terms, draw, rng, out)
+        out = _series(weigh, rng.random, terms, draw, rng, out)
     return np.ascontiguousarray(out.T)
 
 
@@ -483,8 +477,8 @@ def fixed_point_map(x, w, u, theta: float):
 
     Accepts vectors or (n, d) batches for x and w; u may be scalar or (n,).
     """
-    if theta <= 0:
-        raise ValidationError("theta must be > 0")
+    if not 0 < theta < math.inf:  # NaN fails too
+        raise ValidationError(f"theta must be finite and > 0, got {theta!r}")
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -541,17 +535,6 @@ def _run_chunks(draw, n_reps: int, seed: int) -> np.ndarray:
     return np.concatenate(list(parts))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value, least: int = 0) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is an integer
-    >= ``least``."""
-    if not (_is_int(value) and value >= least):
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def series_terms(method: str, sigma: SpectralMeasure, k: int, gd_tol: float) -> int:
     """Series terms per replication of the ``generate_batch(method, sigma, k)``
     cell: k for SN, floor(mass * k) for TA, and for DS the GD terms summed
@@ -578,6 +561,28 @@ def check_cell_work(terms: int, n_reps: int) -> None:
             f"{_CHUNK} are charged) is over the budget of {MAX_CELL_WORK:.0e}")
 
 
+def _cell_draw(method: str, sigma: SpectralMeasure, k: int, gd_tol: float):
+    """``draw(m, rng)``, which returns m rows of the (method, sigma, k) cell of
+    ``generate_batch`` drawn from ``rng``. The work that needs no draws is
+    done here, once: the L*_1 parameters, DS's level-k discretization of a
+    sigma that is not finite, and a finite sigma's guide table."""
+    from .discretize import default_grid, discretize_angular
+
+    if method == "SN":
+        params = md_from_spectral(sigma)
+        draw = lambda m, rng: sample_sn_batch(params, k, m, rng)
+    elif method == "TA":
+        draw = lambda m, rng: sample_ta_batch(1.0, sigma.sample_directions,
+                                              sigma.mass, k, m, rng)
+    else:
+        if sigma.variant != FINITE:
+            sigma = discretize_angular(sigma, default_grid(k))
+        return lambda m, rng: sample_ds_batch(sigma, gd_tol, m, rng)
+    if sigma.variant == FINITE:
+        sigma._atom_sampler  # build the guide table once, not in each chunk
+    return draw
+
+
 def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
                    seed: int, gd_tol: float = _DEFAULT_GD_TOL) -> SampleBatch:
     """Generate a SampleBatch from MD(sigma) by the named method.
@@ -592,9 +597,6 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
     one in [0, 2^64); a cell over ``MAX_CELL_WORK`` (see
     ``check_cell_work``) raises ValidationError before any work is done.
     """
-    from .measures import md_from_spectral
-    from .discretize import default_grid, discretize_angular
-
     if method not in ("SN", "TA", "DS"):
         raise ValidationError(f"unknown method {method!r}")
     _check_count("k", k, 1 if method == "TA" else 0)
@@ -602,19 +604,7 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
     if not (_is_int(seed) and 0 <= seed < 2 ** 64):
         raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     check_cell_work(series_terms(method, sigma, k, gd_tol), n_reps)
-    if method == "SN":
-        params = md_from_spectral(sigma)
-        draw = lambda m, rng: sample_sn_batch(params, k, m, rng)
-    elif method == "TA":
-        draw = lambda m, rng: sample_ta_batch(1.0, sigma.sample_directions,
-                                              sigma.mass, k, m, rng)
-    else:
-        if sigma.variant == FINITE:
-            k = 0
-        else:
-            sigma = discretize_angular(sigma, default_grid(k))
-        draw = lambda m, rng: sample_ds_batch(sigma, gd_tol, m, rng)
-    if method != "DS" and sigma.variant == FINITE:
-        sigma._atom_sampler  # build the guide table once, not in each chunk
-    data = _run_chunks(draw, n_reps, seed)
+    data = _run_chunks(_cell_draw(method, sigma, k, gd_tol), n_reps, seed)
+    if method == "DS" and sigma.variant == FINITE:
+        k = 0
     return SampleBatch(data=data, method=method, k=k, n_reps=n_reps, seed=seed)

@@ -7,7 +7,9 @@ suite is deterministic.
 """
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,20 +33,25 @@ def _ok(criterion, detail):
     print(f"\nACCEPTANCE {criterion}: PASS  ({detail})")
 
 
-def _ek(sigma, truth, method, k, seed, sig_k_cache={}):
-    """E_k of one (method, k, seed) cell at study scale."""
-    rng = np.random.default_rng(seed)
-    if method == "SN":
-        data = mv.sample_sn_batch(mv.md_from_spectral(sigma), k, N_STUDY, rng)
-    elif method == "TA":
-        data = mv.sample_ta_batch(1.0, sigma.sample_directions, sigma.mass, k,
-                                  N_STUDY, rng)
-    else:
-        key = (id(sigma), k)
-        if key not in sig_k_cache:
-            sig_k_cache[key] = mv.discretize_angular(sigma, mv.default_grid(k))
-        data = mv.sample_ds_batch(sig_k_cache[key], 1e-12, N_STUDY, rng)
+def _drawers(sigma, methods, k_grid):
+    """The ``generate_batch`` cell drawer of each (method, k) on sigma, built
+    before any cell runs: its discretization and parameters are shared."""
+    return {(m, k): mv.samplers._cell_draw(m, sigma, k, 1e-12)
+            for m in methods for k in k_grid}
+
+
+def _ek(draw, truth, seed):
+    """E_k of one cell at study scale, drawn by ``draw`` from the Generator of
+    ``seed``, and its rows."""
+    data = draw(N_STUDY, np.random.default_rng(seed))
     return mv.error_metric(mv.empirical_moments(data), truth).e_k, data
+
+
+def _pooled(cell, cells):
+    """``cell(*c)`` for each c in ``cells``, in order, on a thread per usable
+    CPU. The cells are independent, so the results equal a serial loop's."""
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        return list(pool.map(lambda c: cell(*c), cells))
 
 
 def test_c01_gd_moments_and_runtime():
@@ -135,18 +142,18 @@ def test_c04_sn_ds_cross_method_agreement():
 def test_c05_method_ordering_at_k200():
     """5: E(SN) <= E(TA) <= E(DS) at k=200, N=160000 in at least 4 of 5
     seeds, for each of beta(2,2), beta(2,5), beta(5,1)."""
-    details = []
+    methods = ("SN", "TA", "DS")
+    cells = []
     for m_idx, (a, b) in enumerate(BETA_MODELS):
         sigma = mv.SpectralMeasure.beta(a, b)
-        truth = mv.md_moments(sigma)
-        hits = 0
-        triples = []
-        for s in range(5):
-            e_sn, _ = _ek(sigma, truth, "SN", 200, _seed(100 * m_idx + 50, s))
-            e_ta, _ = _ek(sigma, truth, "TA", 200, _seed(100 * m_idx + 51, s))
-            e_ds, _ = _ek(sigma, truth, "DS", 200, _seed(100 * m_idx + 52, s))
-            triples.append((e_sn, e_ta, e_ds))
-            hits += e_sn <= e_ta <= e_ds
+        truth, draws = mv.md_moments(sigma), _drawers(sigma, methods, (200,))
+        cells += [(draws[method, 200], truth, _seed(100 * m_idx + 50 + j, s))
+                  for s in range(5) for j, method in enumerate(methods)]
+    eks = iter(_pooled(lambda *cell: _ek(*cell)[0], cells))
+    details = []
+    for a, b in BETA_MODELS:
+        triples = [(next(eks), next(eks), next(eks)) for _ in range(5)]
+        hits = sum(e_sn <= e_ta <= e_ds for e_sn, e_ta, e_ds in triples)
         assert hits >= 4, (f"beta({a:g},{b:g}) ordering held in {hits}/5 "
                            f"seeds: {triples}")
         details.append(f"beta({a:g},{b:g})={hits}/5")
@@ -158,22 +165,23 @@ def test_c06_monotone_decay_to_floor():
     k in {1,5,10,50,100,200} for SN and TA on beta(1,1)."""
     sigma = mv.SpectralMeasure.beta(1.0, 1.0)
     truth = mv.md_moments(sigma)
-    k_grid = (1, 5, 10, 50, 100, 200)
-    floor = None
+    methods, k_grid = ("SN", "TA"), (1, 5, 10, 50, 100, 200)
+    draws = _drawers(sigma, methods, k_grid)
+
+    def cell(draw, seed, sets_floor):
+        # rows are dropped once scored, but for the cell that sets the MC floor
+        e, data = _ek(draw, truth, seed)
+        return e, mv.estimate_mc_floor(data) if sets_floor else None
+
+    results = _pooled(cell, [(draws[method, k], _seed(300 + 10 * m_idx + k_idx, s),
+                              (method, k, s) == ("SN", 200, 0))
+                             for m_idx, method in enumerate(methods)
+                             for k_idx, k in enumerate(k_grid) for s in range(5)])
+    floor = next(f for _, f in results if f is not None)
+    eks = iter(e for e, _ in results)
     details = []
-    for m_idx, method in enumerate(("SN", "TA")):
-        medians = []
-        for k_idx, k in enumerate(k_grid):
-            es = []
-            for s in range(5):
-                e, data = _ek(sigma, truth, method, k,
-                              _seed(300 + 10 * m_idx + k_idx, s))
-                es.append(e)
-                if floor is None and method == "SN" and k == 200 and s == 0:
-                    floor = mv.estimate_mc_floor(data)
-            medians.append(float(np.median(es)))
-        if floor is None:
-            floor = mv.estimate_mc_floor(data)
+    for method in methods:
+        medians = [float(np.median([next(eks) for _ in range(5)])) for _ in k_grid]
         for prev, nxt in zip(medians, medians[1:]):
             assert nxt <= max(prev, 2.0 * floor), (method, medians, floor)
         details.append(f"{method} medians " +

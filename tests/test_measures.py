@@ -75,6 +75,12 @@ class TestSpectralMeasure:
         assert sigma.mass == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(sigma.masses, 1 / 50)
 
+    @pytest.mark.parametrize("r", [0, -1, 2.5, math.nan, True, "2"])
+    def test_evenly_spaced_rejects_bad_counts(self, r):
+        # 2.5 once raised NumPy's TypeError and nan its ValueError
+        with pytest.raises(ValidationError, match="^r must be an integer >= 1"):
+            mv.evenly_spaced_spectral(r)
+
     def test_rejects_non_unit_direction(self):
         with pytest.raises(ValidationError, match="unit norm"):
             mv.SpectralMeasure.finite([[1.0, 1.0]], [1.0])

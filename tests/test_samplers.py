@@ -434,7 +434,7 @@ class TestFiniteChunkMemory:
 
 
 class TestPowUnderflowPremise:
-    """``_sn_weights`` replaces U^(1/theta) by +0 for U < exp(-750 theta)
+    """``_uniform_powers`` replaces U^(1/theta) by +0 for U < exp(-750 theta)
     without computing it. That keeps the streams only if pow itself returns
     +0 there (not -0, not a subnormal); a NumPy or libm that did otherwise
     must fail here, not move a stream unseen."""
@@ -500,6 +500,12 @@ class TestFixedPointMap:
         for u in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValidationError):
                 mv.fixed_point_map([0.0], [1.0], u, 1.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
+    def test_theta_must_be_finite_and_positive(self, theta):
+        # theta = nan once returned [nan, nan], and theta = inf x + w
+        with pytest.raises(ValidationError, match="theta must be finite"):
+            mv.fixed_point_map([0.0, 0.0], [1.0, 0.0], 0.5, theta)
 
 
 class TestLevyPath:
@@ -668,6 +674,7 @@ _SIZED = {
         1.0, _SIGMA3.sample_directions, 1.0, 3, v, r)),
     "gd-n": ("n", lambda v, r: mv.sample_gd_batch(1.0, 1e-12, v, r)),
     "ds-n_reps": ("n_reps", lambda v, r: mv.sample_ds_batch(_SIGMA3, 1e-12, v, r)),
+    "levy-k": ("k", lambda v, r: mv.sample_levy_path(mv.md_from_spectral(_SIGMA3), 1.0, v, r)),
 }
 
 
