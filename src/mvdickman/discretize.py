@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .measures import ANGULAR, TWO_PI, SpectralMeasure, _lock
+from .measures import ANGULAR, TWO_PI, SpectralMeasure, _check_count, _lock
 from .moments import _quadpack
 
 _MASS_TOL = 1e-9
@@ -55,8 +55,7 @@ def default_grid(k: int, representatives: str = "left") -> DiscretizationGrid:
     ``'midpoint'`` uses cell midpoints, which roughly halves the leading
     discretization bias at the same k.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_count("k", k, 1)
     cuts = TWO_PI * np.arange(k + 1) / k
     if representatives == "left":
         angles = cuts[:-1]
@@ -89,10 +88,9 @@ def discretize_angular(sigma: SpectralMeasure,
     plain angular density) misses the error budget and raises
     QuadratureError.
     """
-    if sigma.variant != ANGULAR or sigma.density is None:
+    if sigma.variant != ANGULAR:
         raise ValidationError("discretize_angular needs an angular-density measure")
     if sigma.beta_params is not None:
-        sigma.validate()
         masses = _beta_cell_masses(*sigma.beta_params, sigma.mass, grid.cuts)
     else:
         masses = _quadrature_cell_masses(sigma.density, grid)

@@ -11,8 +11,6 @@ are byte-identical for any worker count and any number of chunk threads.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, ValidationError
-from .measures import _is_int, model_label, spectral_from_json
+from .measures import _check_count, _check_real, _is_int, model_label, spectral_from_json
 from .moments import MomentSummary, md_moments
 from .samplers import check_cell_work, generate_batch, series_terms
 from .stats import empirical_moments, error_metric
@@ -68,22 +66,17 @@ class ExperimentConfig:
         k_grid = tuple(int(k) for k in self.k_grid)
         if any(b <= a for a, b in zip(k_grid, k_grid[1:])):
             raise ConfigurationError("k_grid must be strictly increasing")
-        for name, low in (("n_reps", 2), ("seed_replicates", 1), ("base_seed", 0)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= low):
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not self.base_seed < 2 ** 64:
-            raise ConfigurationError("base_seed must fit in 64 bits")
-        if not (isinstance(self.gd_tol, numbers.Real) and not isinstance(self.gd_tol, bool)
-                and 0 < self.gd_tol < math.inf):
-            raise ConfigurationError("gd_tol must be finite and > 0")
         if not (self.out is None or isinstance(self.out, str)):
             raise ConfigurationError(f"out must be a path string or null, got {self.out!r}")
         if not isinstance(self.timing, bool):
             raise ConfigurationError(f"timing must be true or false, got {self.timing!r}")
-        try:  # the largest cell of each method
+        try:
+            _check_count("n_reps", self.n_reps, 2)
+            _check_count("seed_replicates", self.seed_replicates, 1)
+            _check_count("base_seed", self.base_seed, 0, 2 ** 64)
+            _check_real("gd_tol", self.gd_tol)
             check_cell_work(max(series_terms(m, sigma, k_grid[-1], self.gd_tol)
-                                for m in methods), self.n_reps)
+                                for m in methods), self.n_reps)  # the largest cells
         except ValidationError as exc:
             raise ConfigurationError(str(exc)) from exc
         object.__setattr__(self, "methods", methods)
@@ -130,13 +123,12 @@ def substream_seed(base_seed: int, cell_index: int, replication_index: int) -> i
 
     Chains the splitmix64 finalizer over the three inputs; bit-exact across
     platforms and independent of worker scheduling. Distinct pairs map to
-    distinct seeds up to the mixer's 2^-64 collision probability.
+    distinct seeds up to the mixer's 2^-64 collision probability. All three
+    are integers >= 0, and ``base_seed`` one below 2^64.
     """
-    if cell_index < 0 or replication_index < 0:
-        raise ValidationError("indices must be >= 0")
-    s = _mix64(int(base_seed) & _MASK64)
-    s = _mix64((s + int(cell_index)) & _MASK64)
-    s = _mix64((s + int(replication_index)) & _MASK64)
+    s = _mix64(_check_count("base_seed", base_seed, 0, 2 ** 64))
+    s = _mix64((s + _check_count("cell_index", cell_index)) & _MASK64)
+    s = _mix64((s + _check_count("replication_index", replication_index)) & _MASK64)
     return s
 
 

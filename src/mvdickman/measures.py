@@ -18,7 +18,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -58,18 +58,20 @@ def _reduce_angles(phi):
     return phi
 
 
-def _as_unit_directions(directions, dim=None):
+def _as_unit_directions(directions, dim):
+    """``directions`` as a (k, dim) float array of finite unit vectors."""
     s = np.atleast_2d(np.asarray(directions, dtype=float))
     if s.ndim != 2:
         raise ValidationError("directions must form a (k, d) array")
-    if dim is not None and s.shape[1] != dim:
+    if s.shape[1] != dim:
         raise ValidationError(f"directions have dim {s.shape[1]}, expected {dim}")
-    if not np.isfinite(s).all():
-        raise ValidationError("directions must be finite")
+    # a NaN or infinite coordinate fails the norm test too; isfinite names it
     norms = np.linalg.norm(s, axis=1)
-    bad = np.abs(norms - 1.0) > _UNIT_NORM_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
+    good = np.abs(norms - 1.0) <= _UNIT_NORM_TOL
+    if not good.all():
+        if not np.isfinite(s).all():
+            raise ValidationError("directions must be finite")
+        i = int(np.argmin(good))
         raise ValidationError(
             f"direction {i} has |s|={norms[i]!r}; unit norm required within {_UNIT_NORM_TOL}"
         )
@@ -86,15 +88,28 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_count(name: str, value, least: int = 0) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is an integer
-    >= ``least``."""
-    if not (_is_int(value) and value >= least):
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value, least: int = 0, below: int | None = None) -> int:
+    """``value`` as an int; ValidationError naming ``name`` unless it is an
+    integer, not a bool, >= ``least`` (and < ``below`` when given)."""
+    if not (_is_int(value) and least <= value and (below is None or value < below)):
+        span = f">= {least}" if below is None else f"in [{least}, {below})"
+        raise ValidationError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value, low: float = 0.0, high: float = math.inf) -> float:
+    """``value`` as a float; ValidationError naming ``name`` unless it is a
+    real number, not a bool, with ``low < value < high`` (NaN fails)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and low < value < high):
+        span = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
+        raise ValidationError(f"{name} must be finite and {span}, got {value!r}")
+    return float(value)
 
 
 class _AtomSampler:
-    """Draws of ``points[i]`` with probability ``weights[i] / total``.
+    """Draws of ``points[i]`` with probability ``weights[i] / total``, for
+    atoms that their SpectralMeasure or BDLM checked at construction.
 
     Inverse-CDF sampling with a guide table, the cutpoint method of Chen &
     Asau (1974; Devroye 1986, section III.2.4). ``p`` and its ``cdf`` are
@@ -110,21 +125,11 @@ class _AtomSampler:
     """
 
     def __init__(self, points, weights, total):
-        p = np.asarray(weights, dtype=float) / total
-        if len(p) != len(points):
-            raise ValidationError("points and weights must have equal length")
-        if not np.isfinite(points).all():
-            raise ValidationError("atom points must be finite")
-        if not (np.isfinite(p).all() and (p >= 0).all()
-                and abs(math.fsum(p) - 1.0) <= _PROB_SUM_TOL):
-            raise ValidationError(
-                f"atom weights must be finite, >= 0 and sum to the total mass "
-                f"{total!r} within a relative {_PROB_SUM_TOL:.2g}")
-        cdf = p.cumsum()
+        cdf = (weights / total).cumsum()
         cdf /= cdf[-1]
         self.columns = np.ascontiguousarray(np.transpose(points))
         self.cdf = cdf
-        self.buckets = 1 << (4 * len(p) - 1).bit_length()
+        self.buckets = 1 << (4 * len(cdf) - 1).bit_length()
         self.lo = cdf.searchsorted(np.arange(self.buckets) / self.buckets, "right")
 
     def indices(self, u: np.ndarray) -> np.ndarray:
@@ -152,9 +157,10 @@ class _AtomSampler:
 class SpectralMeasure:
     """A finite measure sigma on the unit sphere S^{d-1}.
 
-    Use the classmethod constructors (``finite``, ``from_angles``,
-    ``angular``, ``beta``) rather than the raw dataclass constructor; they
-    validate the invariants and fill the derived fields.
+    Construction checks every invariant and locks the atom arrays, so no
+    constructor or ``dataclasses.replace`` yields an invalid measure. The
+    classmethods (``finite``, ``from_angles``, ``angular``, ``beta``) turn
+    their inputs into these fields.
     """
 
     variant: str
@@ -168,30 +174,55 @@ class SpectralMeasure:
     #: ``beta``; discretization takes its cell masses from them in closed form
     beta_params: tuple[float, float] | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        _set = partial(object.__setattr__, self)
+        if self.variant not in (FINITE, ANGULAR):
+            raise ValidationError(f"unknown variant {self.variant!r}")
+        _set("dim", _check_count("dim", self.dim, 1))
+        if self.variant == FINITE:
+            s = _as_unit_directions(self.directions, self.dim)
+            a = np.asarray(self.masses, dtype=float).reshape(-1)
+            if len(a) != len(s):
+                raise ValidationError("directions and masses must have equal length")
+            if len(a) == 0:
+                raise ValidationError("a finite spectral measure needs at least one atom")
+            if not (a > 0).all():
+                raise ValidationError("every atom mass a_i must be > 0")
+            _set("directions", _lock(s))
+            _set("masses", _lock(a))
+        elif self.dim != 2:
+            raise ValidationError("angular-density measures are bivariate only")
+        elif not callable(self.density):
+            raise ValidationError("an angular-density measure needs a callable density")
+        mass = _check_real("total mass", self.mass)
+        _set("mass", mass)
+        if self.variant == FINITE and not abs(a.sum() - mass) <= _PROB_SUM_TOL * mass:
+            raise ValidationError(f"total mass {mass!r} is not the sum of "
+                                  f"the atom masses within {_PROB_SUM_TOL:.2g}")
+        if self.beta_params is not None:
+            if self.variant != ANGULAR:
+                raise ValidationError("beta_params needs an angular-density measure")
+            if np.shape(self.beta_params) != (2,):
+                raise ValidationError(f"beta parameters must be a pair, got "
+                                      f"{self.beta_params!r}")
+            _set("beta_params", tuple(_check_real("beta parameters", x)
+                                      for x in self.beta_params))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def finite(cls, directions, masses) -> "SpectralMeasure":
         """Finite-support measure sum_i a_i * delta_{s_i} with unit vectors s_i."""
-        s = _as_unit_directions(directions)
+        s = np.atleast_2d(np.asarray(directions, dtype=float))
         a = np.asarray(masses, dtype=float).reshape(-1)
-        if len(a) != len(s):
-            raise ValidationError("directions and masses must have equal length")
-        if len(a) == 0:
-            raise ValidationError("a finite spectral measure needs at least one atom")
-        if not np.all(a > 0):
-            raise ValidationError("every atom mass a_i must be > 0")
-        theta = float(a.sum())
-        if not math.isfinite(theta) or theta <= 0:
-            raise ValidationError("total mass must be finite and > 0")
-        return cls(variant=FINITE, dim=s.shape[1], mass=theta,
-                   directions=_lock(s), masses=_lock(a))
+        return cls(variant=FINITE, dim=s.shape[1], mass=float(a.sum()),
+                   directions=s, masses=a)
 
     @classmethod
     def from_angles(cls, angles, masses) -> "SpectralMeasure":
         """Finite-support bivariate measure with atoms given by angles."""
         angles = np.asarray(angles, dtype=float)
-        if not np.isfinite(angles).all():
+        if not np.isfinite(angles).all():  # before ``% 2pi``, which warns on +-inf
             raise ValidationError("atom angles must be finite")
         return cls.finite(angle_to_direction(angles), masses)
 
@@ -207,16 +238,14 @@ class SpectralMeasure:
         from .moments import integrate_angular  # deferred: avoids import cycle
 
         quad_mass = integrate_angular(lambda x: np.ones_like(x), density)
-        if not math.isfinite(quad_mass) or quad_mass <= 0:
-            raise ValidationError("total mass (integral of density) must be finite and > 0")
-        if mass is not None and abs(quad_mass - mass) > _MASS_CHECK_TOL:
+        sigma = cls(variant=ANGULAR, dim=2, mass=quad_mass if mass is None else mass,
+                    density=density, angle_sampler=angle_sampler)
+        if not abs(quad_mass - sigma.mass) <= _MASS_CHECK_TOL:
             raise ValidationError(
                 f"declared mass {mass} differs from quadrature mass {quad_mass}"
                 f" by more than {_MASS_CHECK_TOL}"
             )
-        theta = float(mass if mass is not None else quad_mass)
-        return cls(variant=ANGULAR, dim=2, mass=theta, density=density,
-                   angle_sampler=angle_sampler)
+        return sigma
 
     @classmethod
     def beta(cls, a, b, mass=1.0) -> "SpectralMeasure":
@@ -236,10 +265,9 @@ class SpectralMeasure:
         from scipy.special import beta as beta_fn
         from scipy.special import betaln, xlog1py, xlogy
 
-        if not (0 < a < math.inf and 0 < b < math.inf):
-            raise ValidationError("beta parameters must be finite and > 0")
-        if mass <= 0 or not math.isfinite(mass):
-            raise ValidationError("total mass must be finite and > 0")
+        # the density is built from these, so they are checked here, first
+        a, b = _check_real("beta parameters", a), _check_real("beta parameters", b)
+        mass = _check_real("total mass", mass)
         power, beta_ab = TWO_PI ** (1.0 - a - b), beta_fn(a, b)
 
         if min(power, beta_ab) >= sys.float_info.min:
@@ -263,35 +291,10 @@ class SpectralMeasure:
             def angle_sampler(rng, n, _a=a, _b=b):
                 return TWO_PI * rng.beta(_a, _b, n)
 
-        sigma = cls(variant=ANGULAR, dim=2, mass=float(mass), density=density,
-                    angle_sampler=angle_sampler, beta_params=(float(a), float(b)))
-        return sigma
+        return cls(variant=ANGULAR, dim=2, mass=mass, density=density,
+                   angle_sampler=angle_sampler, beta_params=(a, b))
 
     # -- behaviour ---------------------------------------------------------
-
-    def validate(self) -> None:
-        """Re-check the construction invariants, raising ValidationError."""
-        if self.variant not in (FINITE, ANGULAR):
-            raise ValidationError(f"unknown variant {self.variant!r}")
-        if not math.isfinite(self.mass) or self.mass <= 0:
-            raise ValidationError("total mass must be finite and > 0")
-        if self.variant == FINITE:
-            _as_unit_directions(self.directions, self.dim)
-            if not np.all(self.masses > 0):
-                raise ValidationError("every atom mass a_i must be > 0")
-            if not abs(math.fsum(self.masses) - self.mass) <= _PROB_SUM_TOL * self.mass:
-                raise ValidationError(f"total mass {self.mass!r} is not the sum of "
-                                      f"the atom masses within {_PROB_SUM_TOL:.2g}")
-        if self.variant == ANGULAR and self.dim != 2:
-            raise ValidationError("angular-density measures are bivariate only")
-        if self.variant == ANGULAR and not callable(self.density):
-            raise ValidationError("an angular-density measure needs a callable density")
-        if self.beta_params is not None:
-            if self.variant != ANGULAR:
-                raise ValidationError("beta_params needs an angular-density measure")
-            shapes = np.asarray(self.beta_params, dtype=float)
-            if shapes.shape != (2,) or not np.all((shapes > 0) & (shapes < math.inf)):
-                raise ValidationError("beta parameters must be two finite numbers > 0")
 
     @cached_property
     def _atom_sampler(self) -> _AtomSampler:
@@ -300,16 +303,16 @@ class SpectralMeasure:
     def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n unit vectors from the normalized measure sigma/theta.
 
-        Finite measures draw by inverse CDF with a guide table built once per
-        measure; the draws and the generator stream are exactly those of
-        ``directions[rng.choice(len(p), size=n, p=masses / mass)]``. The first
-        draw checks the atoms and raises ValidationError on non-finite
-        directions or masses that do not sum to ``mass``.
+        Finite measures draw by inverse CDF with a guide table built on the
+        first draw, once per measure; the draws and the generator stream are
+        exactly those of ``directions[rng.choice(len(p), size=n, p=masses /
+        mass)]``. ``n`` must be an integer >= 0.
 
         Draws are returned as the (n, d) transpose of a C-ordered (d, n)
         array, so that the series kernels read and multiply each coordinate
         as one contiguous row.
         """
+        _check_count("n", n)
         if self.variant == FINITE:
             return self._atom_sampler(rng, n)
         if self.angle_sampler is None:
@@ -333,6 +336,7 @@ class SpectralMeasure:
 def evenly_spaced_spectral(r: int, mass: float = 1.0) -> SpectralMeasure:
     """Finite bivariate measure with r evenly spaced directions of equal mass."""
     _check_count("r", r, 1)
+    mass = _check_real("total mass", mass)
     angles = TWO_PI * np.arange(r) / r
     return SpectralMeasure.from_angles(angles, np.full(r, mass / r))
 
@@ -420,7 +424,8 @@ class BDLM:
     Optional exact descriptions enable analytic moments: ``points``/``weights``
     for finite support, ``spectral`` for sphere-supported measures, or
     ``moment_data`` = (integral of y dnu, integral of y y^T dnu) supplied by
-    the caller.
+    the caller. Construction checks them and locks their arrays; a
+    ``base_sampler`` of None on atoms draws from the atoms.
 
     The log-moment condition integral_{|x|>2} (log|x|)^alpha nu(dx) < infinity
     holds trivially for finite and sphere support; for a sampler-backed nu it
@@ -439,33 +444,53 @@ class BDLM:
     moment_data: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.theta) or self.theta <= 0:
-            raise ValidationError("theta = nu(R^d) must be finite and > 0")
-        if self.dim < 1:
-            raise ValidationError("dim must be >= 1")
+        _set = partial(object.__setattr__, self)
+        theta = _check_real("theta", self.theta)
+        _set("theta", theta)
+        _set("dim", _check_count("dim", self.dim, 1))
+        if self.points is not None or self.weights is not None:
+            y = np.atleast_2d(np.asarray(self.points, dtype=float))
+            w = np.asarray(self.weights, dtype=float).reshape(-1)
+            if y.ndim != 2 or y.shape[1] != self.dim or len(w) != len(y):
+                raise ValidationError(f"points must form a (k, {self.dim}) array "
+                                      f"with one weight per point")
+            if not (np.isfinite(y).all() and (w > 0).all()):
+                raise ValidationError("atom points must be finite and every weight > 0")
+            if not abs(w.sum() - theta) <= _PROB_SUM_TOL * theta:
+                raise ValidationError(f"theta {theta!r} is not the sum of the weights "
+                                      f"within {_PROB_SUM_TOL:.2g}")
+            y, w = _lock(y), _lock(w)
+            _set("points", y)
+            _set("weights", w)
+            if self.base_sampler is None:
+                _set("base_sampler", _AtomSampler(y, w, theta))
+        if not callable(self.base_sampler):
+            raise ValidationError("a BDLM needs a callable base_sampler")
+        if self.moment_data is not None:
+            try:
+                first, second = (_lock(m) for m in self.moment_data)
+            except (TypeError, ValueError):
+                raise ValidationError("moment_data must be a pair of arrays") from None
+            d = self.dim
+            if not (first.shape == (d,) and second.shape == (d, d)
+                    and np.isfinite(first).all() and np.isfinite(second).all()):
+                raise ValidationError(f"moment_data must be finite arrays of shapes ({d},) "
+                                      f"and ({d}, {d}), got {first.shape} and {second.shape}")
+            _set("moment_data", (first, second))
 
     @classmethod
     def from_atoms(cls, points, weights) -> "BDLM":
         """Finite-support nu = sum_j w_j * delta_{y_j} (y_j need not be unit)."""
         y = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(weights, dtype=float).reshape(-1)
-        if not np.all(w > 0):
-            raise ValidationError("every weight must be > 0")
-        theta = float(w.sum())
-        y = _lock(y)
-        w = _lock(w)
-        return cls(theta=theta, dim=y.shape[1],
-                   base_sampler=_AtomSampler(y, w, theta), points=y, weights=w)
+        return cls(theta=float(w.sum()), dim=y.shape[1], base_sampler=None,
+                   points=y, weights=w)
 
     @classmethod
     def from_spectral(cls, sigma: SpectralMeasure) -> "BDLM":
         """Sphere-supported nu equal to the spectral measure sigma."""
-        sigma.validate()
-        points = sigma.directions if sigma.variant == FINITE else None
-        weights = sigma.masses if sigma.variant == FINITE else None
-        return cls(theta=sigma.mass, dim=sigma.dim,
-                   base_sampler=sigma.sample_directions,
-                   points=points, weights=weights, spectral=sigma)
+        return cls(theta=sigma.mass, dim=sigma.dim, base_sampler=sigma.sample_directions,
+                   points=sigma.directions, weights=sigma.masses, spectral=sigma)
 
     @classmethod
     def from_sampler(cls, theta, dim, base_sampler, moment_data=None) -> "BDLM":
@@ -474,19 +499,7 @@ class BDLM:
         ``moment_data``, when given, is the pair (integral of y dnu, integral
         of y y^T dnu) of finite arrays with shapes (dim,) and (dim, dim).
         """
-        if moment_data is not None:
-            try:
-                first, second = (_lock(m) for m in moment_data)
-            except (TypeError, ValueError):
-                raise ValidationError("moment_data must be a pair of arrays") from None
-            if first.shape != (dim,) or second.shape != (dim, dim):
-                raise ValidationError(
-                    f"moment_data needs shapes ({dim},) and ({dim}, {dim}), got "
-                    f"{first.shape} and {second.shape}")
-            if not (np.isfinite(first).all() and np.isfinite(second).all()):
-                raise ValidationError("moment_data must be finite")
-            moment_data = first, second
-        return cls(theta=float(theta), dim=int(dim), base_sampler=base_sampler,
+        return cls(theta=theta, dim=dim, base_sampler=base_sampler,
                    moment_data=moment_data)
 
 
@@ -499,8 +512,7 @@ class LStarParams:
     gamma: np.ndarray = None
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha <= 0:
-            raise ValidationError("alpha must be finite and > 0")
+        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha))
         g = self.gamma
         g = np.zeros(self.bdlm.dim) if g is None else np.asarray(g, dtype=float).reshape(-1)
         if len(g) != self.bdlm.dim:
@@ -521,14 +533,12 @@ def md_from_spectral(sigma: SpectralMeasure) -> LStarParams:
     The multivariate Dickman distribution with spectral measure sigma is the
     alpha=1, zero-drift member of the L* family whose BDLM is sigma itself.
     """
-    sigma.validate()
     return LStarParams(alpha=1.0, bdlm=BDLM.from_spectral(sigma),
                        gamma=np.zeros(sigma.dim))
 
 
 def gd_params(theta: float) -> LStarParams:
     """Parameters of the univariate generalized Dickman law GD(theta)."""
-    if theta <= 0:
-        raise ValidationError("theta must be > 0")
+    theta = _check_real("theta", theta)
     return LStarParams(alpha=1.0, bdlm=BDLM.from_atoms([[1.0]], [theta]),
                        gamma=np.zeros(1))

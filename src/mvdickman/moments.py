@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import QuadratureError, UnsupportedMeasureError, ValidationError
 from .measures import (_MASS_CHECK_TOL, FINITE, TWO_PI, BDLM, LStarParams,
-                       SpectralMeasure, _lock)
+                       SpectralMeasure, _check_real, _lock)
 
 _SYM_TOL = 1e-12
 _QUAD_TOL = 1e-10
@@ -365,7 +365,6 @@ def md_moments(sigma: SpectralMeasure) -> MomentSummary:
     known only through a sampler, use ``lstar_moments`` on
     ``BDLM.from_sampler`` with its moment data.
     """
-    sigma.validate()
     first, second = _integrals(sigma)
     return MomentSummary(first, 0.5 * second)
 
@@ -393,8 +392,7 @@ def malpha_tail_mass(params: LStarParams, eps: float) -> float:
     Per atom at radius |y| this is w * max(0, log(|y|/eps))^alpha / alpha;
     for sphere-supported nu it collapses to theta * (-log eps)^alpha / alpha.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValidationError("eps must lie in (0, 1)")
+    eps = _check_real("eps", eps, 0.0, 1.0)
     radii, w = _atom_radii_weights(params.bdlm)
     a = params.alpha
     with np.errstate(divide="ignore"):
@@ -414,8 +412,7 @@ def malpha_radial_moment(params: LStarParams, p: float, region: str) -> float:
     from scipy.special import gamma as gamma_fn
     from scipy.special import gammainc, gammaincc
 
-    if p <= 0 or not math.isfinite(p):
-        raise ValidationError("p must be finite and > 0")
+    p = _check_real("p", p)
     if region not in (INSIDE, OUTSIDE):
         raise ValidationError(f"region must be {INSIDE!r} or {OUTSIDE!r}")
     a = params.alpha

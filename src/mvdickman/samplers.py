@@ -83,7 +83,7 @@ import numpy as np
 
 from .errors import UnsupportedMeasureError, ValidationError
 from .measures import (FINITE, LStarParams, SpectralMeasure, _AtomSampler, _check_count,
-                       _is_int, _lock, md_from_spectral)
+                       _check_real, _lock, md_from_spectral)
 
 _DEFAULT_GD_TOL = 1e-12
 
@@ -127,6 +127,9 @@ class SampleBatch:
             data = data[:, None]
         if self.method not in ("SN", "TA", "DS"):
             raise ValidationError(f"method must be SN, TA or DS, got {self.method!r}")
+        _check_count("k", self.k)
+        _check_count("n_reps", self.n_reps)
+        _check_count("seed", self.seed, 0, 2 ** 64)
         if data.shape[0] != self.n_reps:
             raise ValidationError(
                 f"data has {data.shape[0]} rows, expected n_reps={self.n_reps}")
@@ -152,8 +155,7 @@ class LevyPathSkeleton:
     jumps: np.ndarray
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValidationError("horizon T must be > 0")
+        object.__setattr__(self, "horizon", _check_real("horizon T", self.horizon))
         drift = np.asarray(self.drift, dtype=float).reshape(-1)
         times = np.asarray(self.times, dtype=float).reshape(-1)
         jumps = np.atleast_2d(np.asarray(self.jumps, dtype=float))
@@ -193,9 +195,7 @@ def gd_truncation_terms(theta: float, tol: float) -> int:
     has expectation (theta/(theta+1))^i, so the remainder after k terms sums
     to (theta+1) * (theta/(theta+1))^(k+1).
     """
-    if not (0 < theta < math.inf and tol > 0):  # NaN fails too
-        raise ValidationError(f"theta must be finite and > 0 and tol > 0, got "
-                              f"theta={theta!r}, tol={tol!r}")
+    theta, tol = _check_real("theta", theta), _check_real("tol", tol)
     if theta + 1.0 <= tol:
         return 0
     q = theta / (theta + 1.0)
@@ -359,8 +359,7 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
     """
     _check_count("k", k)
     _check_count("n", n)
-    if not 0 < T < math.inf:
-        raise ValidationError(f"T must be finite and > 0, got {T!r}")
+    T = _check_real("T", T)
     t_theta, draw = T * params.bdlm.theta, params.bdlm.base_sampler
     out = np.empty((params.dim, n))
     out[...] = (T * params.gamma)[:, None]
@@ -383,8 +382,7 @@ def sample_levy_path(params: LStarParams, T: float, k: int,
     Each term contributes the jump w_i Y_i at the uniformly placed time T*V_i;
     the marginal at t is the partial series restricted to times <= t.
     """
-    if not 0 < T < math.inf:
-        raise ValidationError(f"T must be finite and > 0, got {T!r}")
+    T = _check_real("T", T)
     _check_count("k", k)
     bdlm = params.bdlm
     if k == 0:
@@ -403,11 +401,8 @@ def sample_levy_path(params: LStarParams, T: float, k: int,
 
 def ta_term_count(alpha: float, c: float, n: int) -> int:
     """Number of array terms, floor(c * n^alpha / alpha)."""
-    if n <= 0:
-        raise ValidationError("n must be >= 1")
-    if not (0 < alpha < math.inf and 0 < c < math.inf):
-        raise ValidationError(f"alpha and c must be finite and > 0, got "
-                              f"alpha={alpha!r}, c={c!r}")
+    _check_count("n", n, 1)
+    alpha, c = _check_real("alpha", alpha), _check_real("c", c)
     try:
         return int(math.floor(c * float(n) ** alpha / alpha))
     except OverflowError:
@@ -456,6 +451,7 @@ def sample_ds_batch(sigma_k: SpectralMeasure, gd_tol: float, n_reps: int,
     from the GD series truncation controlled by ``gd_tol``.
     """
     _check_count("n_reps", n_reps)
+    _check_real("gd_tol", gd_tol)
     if sigma_k.variant != FINITE:
         raise UnsupportedMeasureError(
             "the DS sampler needs a finite-support spectral measure; "
@@ -477,12 +473,11 @@ def fixed_point_map(x, w, u, theta: float):
 
     Accepts vectors or (n, d) batches for x and w; u may be scalar or (n,).
     """
-    if not 0 < theta < math.inf:  # NaN fails too
-        raise ValidationError(f"theta must be finite and > 0, got {theta!r}")
+    theta = _check_real("theta", theta)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not ((u > 0.0) & (u < 1.0)).all():  # NaN fails too
         raise ValidationError("u must lie in (0, 1)")
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
         raise ValidationError("x and w must be finite")
@@ -593,16 +588,17 @@ def generate_batch(method: str, sigma: SpectralMeasure, k: int, n_reps: int,
 
     The rows are drawn in chunks of ``_CHUNK`` rows, each from its own
     substream of ``seed`` (see the module docstring). ``k`` and ``n_reps``
-    must be integers >= 0 (``k`` >= 1 for TA, its sharpness) and ``seed``
-    one in [0, 2^64); a cell over ``MAX_CELL_WORK`` (see
+    must be integers >= 0 (``k`` >= 1 for TA, its sharpness), ``seed``
+    one in [0, 2^64) and ``gd_tol`` a finite real > 0, whatever the method;
+    a cell over ``MAX_CELL_WORK`` (see
     ``check_cell_work``) raises ValidationError before any work is done.
     """
     if method not in ("SN", "TA", "DS"):
         raise ValidationError(f"unknown method {method!r}")
     _check_count("k", k, 1 if method == "TA" else 0)
     _check_count("n_reps", n_reps)
-    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
-        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    _check_count("seed", seed, 0, 2 ** 64)
+    _check_real("gd_tol", gd_tol)
     check_cell_work(series_terms(method, sigma, k, gd_tol), n_reps)
     data = _run_chunks(_cell_draw(method, sigma, k, gd_tol), n_reps, seed)
     if method == "DS" and sigma.variant == FINITE:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import FINITE, SpectralMeasure, _lock
+from .measures import FINITE, SpectralMeasure, _check_count, _check_real, _lock
 from .moments import MomentSummary
 from .samplers import fixed_point_map, sample_ds_batch
 
@@ -145,9 +145,10 @@ def fixed_point_test(sigma: SpectralMeasure, n_reps: int, seed: int,
     if sigma.variant != FINITE:
         raise ValidationError("the fixed-point test draws X exactly via DS; "
                               "sigma must have finite support")
-    if n_reps < 2:
-        raise ValidationError("n_reps must be >= 2")
-    theta = sigma.mass if map_theta is None else float(map_theta)
+    _check_count("n_reps", n_reps, 2)
+    _check_count("seed", seed, 0, 2 ** 64)
+    tol_sigmas = _check_real("tol_sigmas", tol_sigmas)
+    theta = sigma.mass if map_theta is None else _check_real("map_theta", map_theta)
     rng = np.random.default_rng(seed)
     x = sample_ds_batch(sigma, gd_tol, n_reps, rng)
     w = sigma.sample_directions(rng, n_reps)

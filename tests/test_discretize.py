@@ -213,10 +213,9 @@ class TestBetaCellMasses:
         assert calls  # the same counter does see the quadrature path
 
     def test_revalidates_the_shapes_it_trusts(self):
-        sigma = dataclasses.replace(mv.SpectralMeasure.beta(2.0, 5.0),
-                                    beta_params=(math.nan, 5.0))
         with pytest.raises(ValidationError, match="beta parameters"):
-            mv.discretize_angular(sigma, mv.default_grid(7))
+            dataclasses.replace(mv.SpectralMeasure.beta(2.0, 5.0),
+                                beta_params=(math.nan, 5.0))
 
 
 def test_ds_on_discretized_measure_tracks_truth():

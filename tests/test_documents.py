@@ -1,9 +1,11 @@
-"""Property tests: malformed model and experiment documents fail at once with
-a package error (ValidationError or ConfigurationError), never with a
-KeyError, a TypeError or a late error in a worker."""
+"""Property tests: malformed model and experiment documents, and bad scalars
+passed to the Python API, fail at once with a package error (ValidationError
+or ConfigurationError), never with a KeyError, a TypeError, a NumPy warning
+or a late error in a worker."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -204,3 +206,152 @@ def test_valid_documents_are_accepted():
     config = mv.ExperimentConfig.from_json(valid_config())
     assert config.to_json() == valid_config()
     assert mv.spectral_from_json(valid_config()["model"]).beta_params == (2.0, 5.0)
+
+
+# --------------------------------------------------------------------------
+# scalar arguments of the Python API
+# --------------------------------------------------------------------------
+
+SIGMA3 = mv.evenly_spaced_spectral(3)
+GD1 = mv.gd_params(1.0)
+SN3 = mv.md_from_spectral(SIGMA3)
+BETA25 = {"variant": "beta", "alpha": 2.0, "beta": 5.0}
+
+
+def _uniform(x):
+    return np.full_like(np.asarray(x, dtype=float), 1.0 / (2 * math.pi))
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _count(least):
+    """The values a count >= ``least`` takes: integers, not bools."""
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _real(high=math.inf):
+    """The values a real in (0, ``high``) takes: numbers, not bools."""
+    return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < high
+
+
+def _never(v):
+    return False
+
+
+def _config(**change):
+    return mv.ExperimentConfig(**{"model": BETA25, "methods": ("SN",), "k_grid": (1,),
+                                  "n_reps": 2, **change})
+
+
+#: each public entry point that takes a count or a real, with that argument
+#: left open: which values it takes, and the call, which returns numbers
+SCALAR_ARGS = {
+    "SpectralMeasure dim": (_never, lambda v: mv.SpectralMeasure(  # angular is 2-d
+        "angular", v, 1.0, density=_uniform).mass),
+    "SpectralMeasure mass": (_real(), lambda v: mv.SpectralMeasure(
+        "angular", 2, v, density=_uniform).mass),
+    # a declared mass must be the quadrature mass, 1
+    "SpectralMeasure.angular mass": (lambda v: v is None, lambda v: mv.SpectralMeasure.angular(
+        _uniform, mass=v).mass),
+    "SpectralMeasure.beta a": (_real(), lambda v: mv.SpectralMeasure.beta(v, 5.0).mass),
+    "SpectralMeasure.beta b": (_real(), lambda v: mv.SpectralMeasure.beta(2.0, v).mass),
+    "SpectralMeasure.beta mass": (_real(), lambda v: mv.SpectralMeasure.beta(2.0, 5.0, v).mass),
+    "SpectralMeasure.sample_directions n": (_count(0), lambda v: SIGMA3.sample_directions(
+        _rng(), v)),
+    "evenly_spaced_spectral r": (_count(1), lambda v: mv.evenly_spaced_spectral(v).masses),
+    "evenly_spaced_spectral mass": (_real(), lambda v: mv.evenly_spaced_spectral(3, v).masses),
+    "BDLM theta": (_real(), lambda v: mv.BDLM(v, 2, SIGMA3.sample_directions).theta),
+    "BDLM dim": (_count(1), lambda v: mv.BDLM(1.0, v, SIGMA3.sample_directions).theta),
+    "BDLM.from_sampler theta": (_real(), lambda v: mv.BDLM.from_sampler(
+        v, 2, SIGMA3.sample_directions).theta),
+    "BDLM.from_sampler dim": (_count(1), lambda v: mv.BDLM.from_sampler(
+        1.0, v, SIGMA3.sample_directions).theta),
+    "LStarParams alpha": (_real(), lambda v: mv.LStarParams(v, GD1.bdlm).gamma),
+    "gd_params theta": (_real(), lambda v: mv.gd_params(v).bdlm.weights),
+    "malpha_tail_mass eps": (_real(1.0), lambda v: mv.malpha_tail_mass(GD1, v)),
+    "malpha_radial_moment p": (_real(), lambda v: mv.malpha_radial_moment(GD1, v, mv.moments.INSIDE)),
+    "default_grid k": (_count(1), lambda v: mv.default_grid(v).cuts),
+    "gd_truncation_terms theta": (_real(), lambda v: mv.gd_truncation_terms(v, 1e-12)),
+    "gd_truncation_terms tol": (_real(), lambda v: mv.gd_truncation_terms(1.0, v)),
+    "sample_gd_batch theta": (_real(), lambda v: mv.sample_gd_batch(v, 1e-12, 4, _rng())),
+    "sample_gd_batch tol": (_real(), lambda v: mv.sample_gd_batch(1.0, v, 4, _rng())),
+    "sample_gd_batch n": (_count(0), lambda v: mv.sample_gd_batch(1.0, 1e-12, v, _rng())),
+    "sample_sn_batch k": (_count(0), lambda v: mv.sample_sn_batch(SN3, v, 4, _rng())),
+    "sample_sn_batch n": (_count(0), lambda v: mv.sample_sn_batch(SN3, 3, v, _rng())),
+    "sample_sn_batch T": (_real(), lambda v: mv.sample_sn_batch(SN3, 3, 4, _rng(), T=v)),
+    "sample_levy_path T": (_real(), lambda v: mv.sample_levy_path(SN3, v, 3, _rng()).jumps),
+    "sample_levy_path k": (_count(0), lambda v: mv.sample_levy_path(SN3, 1.0, v, _rng()).jumps),
+    "LevyPathSkeleton horizon": (_real(), lambda v: mv.LevyPathSkeleton(
+        v, [0.0], np.empty(0), np.empty((0, 1))).drift),
+    "ta_term_count alpha": (_real(), lambda v: mv.ta_term_count(v, 1.0, 3)),
+    "ta_term_count c": (_real(), lambda v: mv.ta_term_count(1.0, v, 3)),
+    "ta_term_count n": (_count(1), lambda v: mv.ta_term_count(1.0, 1.0, v)),
+    "sample_ta_batch alpha": (_real(), lambda v: mv.sample_ta_batch(
+        v, SIGMA3.sample_directions, 1.0, 3, 4, _rng())),
+    "sample_ta_batch c": (_real(), lambda v: mv.sample_ta_batch(
+        1.0, SIGMA3.sample_directions, v, 3, 4, _rng())),
+    "sample_ta_batch n": (_count(1), lambda v: mv.sample_ta_batch(
+        1.0, SIGMA3.sample_directions, 1.0, v, 4, _rng())),
+    "sample_ta_batch n_reps": (_count(0), lambda v: mv.sample_ta_batch(
+        1.0, SIGMA3.sample_directions, 1.0, 3, v, _rng())),
+    "sample_ds_batch gd_tol": (_real(), lambda v: mv.sample_ds_batch(SIGMA3, v, 4, _rng())),
+    "sample_ds_batch n_reps": (_count(0), lambda v: mv.sample_ds_batch(
+        SIGMA3, 1e-12, v, _rng())),
+    "fixed_point_map theta": (_real(), lambda v: mv.fixed_point_map([0.0], [1.0], 0.5, v)),
+    "SampleBatch k": (_count(0), lambda v: mv.SampleBatch(np.zeros((0, 2)), "SN", v, 0, 0).data),
+    "SampleBatch n_reps": (_count(0), lambda v: mv.SampleBatch(
+        np.zeros((0, 2)), "SN", 1, v, 0).data),
+    "SampleBatch seed": (_count(0), lambda v: mv.SampleBatch(
+        np.zeros((0, 2)), "SN", 1, 0, v).data),
+    "generate_batch k": (_count(0), lambda v: mv.generate_batch("SN", SIGMA3, v, 4, 0).data),
+    "generate_batch n_reps": (_count(0), lambda v: mv.generate_batch(
+        "SN", SIGMA3, 3, v, 0).data),
+    "generate_batch seed": (_count(0), lambda v: mv.generate_batch(
+        "SN", SIGMA3, 3, 4, v).data),
+    "generate_batch gd_tol": (_real(), lambda v: mv.generate_batch(
+        "DS", SIGMA3, 3, 4, 0, gd_tol=v).data),
+    "fixed_point_test n_reps": (_count(2), lambda v: mv.fixed_point_test(
+        SIGMA3, v, 0).theta_used),
+    "fixed_point_test seed": (_count(0), lambda v: mv.fixed_point_test(
+        SIGMA3, 8, v).theta_used),
+    "fixed_point_test tol_sigmas": (_real(), lambda v: mv.fixed_point_test(
+        SIGMA3, 8, 0, tol_sigmas=v).theta_used),
+    "fixed_point_test gd_tol": (_real(), lambda v: mv.fixed_point_test(
+        SIGMA3, 8, 0, gd_tol=v).theta_used),
+    "fixed_point_test map_theta": (lambda v: v is None or _real()(v), lambda v: mv.fixed_point_test(
+        SIGMA3, 8, 0, map_theta=v).theta_used),
+    "substream_seed base_seed": (_count(0), lambda v: mv.substream_seed(v, 0, 0)),
+    "substream_seed cell_index": (_count(0), lambda v: mv.substream_seed(0, v, 0)),
+    "substream_seed replication_index": (_count(0), lambda v: mv.substream_seed(0, 0, v)),
+    "ExperimentConfig n_reps": (_count(2), lambda v: _config(n_reps=v).n_reps),
+    "ExperimentConfig base_seed": (_count(0), lambda v: _config(base_seed=v).base_seed),
+    "ExperimentConfig seed_replicates": (_count(1), lambda v: _config(
+        seed_replicates=v).seed_replicates),
+    "ExperimentConfig gd_tol": (_real(), lambda v: _config(gd_tol=v).gd_tol),
+    "run_experiment workers": (_count(1), lambda v: [
+        row["e_k"] for row in mv.run_experiment(_config(), workers=v)]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(SCALAR_ARGS))
+@settings(max_examples=20, deadline=None)
+@given(value=st.one_of(NON_FINITE, NON_POSITIVE, JUNK))
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=0)
+@example(value=0.0)
+@example(value=-1)
+@example(value=2.5)
+@example(value=True)
+@example(value="2")
+def test_bad_scalar_raises_package_error(entry, value):
+    takes, call = SCALAR_ARGS[entry]
+    if not takes(value):
+        with pytest.raises(PACKAGE_ERRORS):
+            call(value)
+    else:
+        assert np.isfinite(np.asarray(call(value), dtype=float)).all()

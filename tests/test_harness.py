@@ -41,6 +41,14 @@ class TestSubstreamSeed:
         with pytest.raises(ValidationError):
             mv.substream_seed(1, -1, 0)
 
+    @pytest.mark.parametrize("args", [(0, 1.5, 0), (-1, 0, 0), (2 ** 64, 0, 0),
+                                      (True, 0, 0), (0, True, 0), (0, 0, True)])
+    def test_takes_only_integers_that_cannot_collide(self, args):
+        # (0, 1.5, 0) once got the seed of (0, 1, 0), (-1, 0, 0) that of
+        # (2^64 - 1, 0, 0), and True that of 1
+        with pytest.raises(ValidationError):
+            mv.substream_seed(*args)
+
 
 class TestExperimentConfig:
     def test_k_grid_must_increase(self):

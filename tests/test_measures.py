@@ -104,6 +104,14 @@ class TestSpectralMeasure:
         with pytest.raises(ValidationError, match="quadrature mass"):
             mv.SpectralMeasure.angular(density, mass=1.5)
 
+    @pytest.mark.parametrize("mass", [math.nan, "1", True])
+    def test_angular_mass_must_be_a_number(self, mass):
+        # nan once slipped past the cross-check and "1" raised a TypeError
+        density = lambda x: np.full_like(np.asarray(x, dtype=float),
+                                         1.0 / (2 * np.pi))
+        with pytest.raises(ValidationError, match="mass"):
+            mv.SpectralMeasure.angular(density, mass=mass)
+
     def test_beta_invalid_params(self):
         with pytest.raises(ValidationError):
             mv.SpectralMeasure.beta(0.0, 1.0)
@@ -130,11 +138,10 @@ class TestSpectralMeasure:
                                                   ([[1.0, 0.0]], 2.0)])
     def test_draw_rechecks_raw_constructed_measure(self, directions, mass):
         # masses that do not sum to `mass` are the case Generator.choice rejected
-        bad = mv.SpectralMeasure(variant="finite", dim=2, mass=mass,
-                                 directions=np.array(directions),
-                                 masses=np.array([1.0]))
         with pytest.raises(ValidationError):
-            bad.sample_directions(np.random.default_rng(0), 3)
+            mv.SpectralMeasure(variant="finite", dim=2, mass=mass,
+                               directions=np.array(directions),
+                               masses=np.array([1.0]))
 
     def test_sampled_directions_unit_norm(self):
         rng = np.random.default_rng(11)
@@ -150,11 +157,8 @@ class TestSpectralMeasure:
 
     @pytest.mark.parametrize("density", [None, 1.0])
     def test_angular_needs_a_callable_density(self, density):
-        bad = mv.SpectralMeasure(variant="angular", dim=2, mass=1.0, density=density)
         with pytest.raises(ValidationError, match="callable density"):
-            bad.validate()
-        with pytest.raises(ValidationError, match="callable density"):
-            mv.md_moments(bad)
+            mv.SpectralMeasure(variant="angular", dim=2, mass=1.0, density=density)
 
     def test_angular_without_sampler_cannot_draw(self):
         density = lambda x: np.full_like(np.asarray(x, dtype=float),
@@ -296,6 +300,17 @@ class TestBDLM:
         with pytest.raises(ValidationError):
             mv.BDLM.from_atoms([[1.0]], [0.0])
 
+    @pytest.mark.parametrize("theta", [math.inf, math.nan, "2", True, 0.0])
+    def test_gd_params_names_a_bad_theta_without_a_warning(self, theta):
+        # inf once warned in a NumPy divide and then blamed the atom weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^theta must be finite"):
+                mv.gd_params(theta)
+            if isinstance(theta, float):  # weights are arrays, which take "2" and True
+                with pytest.raises(ValidationError, match="theta|weight"):
+                    mv.BDLM.from_atoms([[1.0]], [theta])
+
     def test_atom_at_origin_is_tolerated(self):
         bd = mv.BDLM.from_atoms([[0.0], [1.0]], [0.5, 0.5])
         draws = bd.base_sampler(np.random.default_rng(5), 1000)
@@ -346,35 +361,29 @@ class TestMdFromSpectral:
 
     def test_rejects_mass_not_summing_atoms(self):
         # one unit atom declared with total mass 2: theta and the atoms disagree
-        bad = mv.SpectralMeasure(variant="finite", dim=2, mass=2.0,
-                                 directions=np.array([[1.0, 0.0]]),
-                                 masses=np.array([1.0]))
         with pytest.raises(ValidationError, match="sum of the atom masses"):
-            mv.md_moments(bad)
-        with pytest.raises(ValidationError, match="sum of the atom masses"):
-            mv.md_from_spectral(bad)
+            mv.SpectralMeasure(variant="finite", dim=2, mass=2.0,
+                               directions=np.array([[1.0, 0.0]]),
+                               masses=np.array([1.0]))
 
     def test_rejects_beta_params_on_a_finite_measure(self):
-        bad = mv.SpectralMeasure(variant="finite", dim=2, mass=1.0,
-                                 directions=np.array([[1.0, 0.0]]),
-                                 masses=np.array([1.0]), beta_params=(2.0, 5.0))
         with pytest.raises(ValidationError, match="beta_params needs an angular"):
-            bad.validate()
+            mv.SpectralMeasure(variant="finite", dim=2, mass=1.0,
+                               directions=np.array([[1.0, 0.0]]),
+                               masses=np.array([1.0]), beta_params=(2.0, 5.0))
 
     @pytest.mark.parametrize("params", [(math.nan, 1.0), (2.0, 0.0), (-1.0, 2.0),
                                         (2.0, math.inf), (2.0,), (1.0, 2.0, 3.0)])
     def test_rejects_beta_params_that_are_not_two_positive_shapes(self, params):
         beta = mv.SpectralMeasure.beta(2.0, 5.0)
-        beta.validate()
         with pytest.raises(ValidationError, match="beta parameters"):
-            dataclasses.replace(beta, beta_params=params).validate()
+            dataclasses.replace(beta, beta_params=params)
 
     def test_revalidates_raw_constructed_measure(self):
-        bad = mv.SpectralMeasure(variant="finite", dim=2, mass=1.0,
-                                 directions=np.array([[2.0, 0.0]]),
-                                 masses=np.array([1.0]))
         with pytest.raises(ValidationError, match="unit norm"):
-            mv.md_from_spectral(bad)
+            mv.SpectralMeasure(variant="finite", dim=2, mass=1.0,
+                               directions=np.array([[2.0, 0.0]]),
+                               masses=np.array([1.0]))
 
 
 def test_lstar_md_moment_consistency_randomized():

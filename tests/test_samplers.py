@@ -501,6 +501,12 @@ class TestFixedPointMap:
             with pytest.raises(ValidationError):
                 mv.fixed_point_map([0.0], [1.0], u, 1.0)
 
+    @pytest.mark.parametrize("u", [math.nan, [0.5, math.nan]])
+    def test_u_nan_rejected(self, u):
+        # nan once passed the (0, 1) check and came back as the map's value
+        with pytest.raises(ValidationError, match="u must lie in"):
+            mv.fixed_point_map([[0.0], [0.0]], [[1.0], [1.0]], u, 1.0)
+
     @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
     def test_theta_must_be_finite_and_positive(self, theta):
         # theta = nan once returned [nan, nan], and theta = inf x + w

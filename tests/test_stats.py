@@ -117,6 +117,13 @@ class TestFixedPointTest:
         # the mean shift is (theta'/(theta'+1))*(E X + E W) - E X = 1/3
         assert report.diffs["mean1"] == pytest.approx(1.0 / 3.0, abs=0.01)
 
+    @pytest.mark.parametrize("tol_sigmas", [math.nan, -1.0, "4"])
+    def test_tol_sigmas_must_be_a_positive_real(self, tol_sigmas):
+        # nan once made a silent passed=False
+        with pytest.raises(ValidationError, match="tol_sigmas"):
+            mv.fixed_point_test(mv.evenly_spaced_spectral(2), 100, seed=0,
+                                tol_sigmas=tol_sigmas)
+
     def test_requires_finite_support(self):
         with pytest.raises(ValidationError):
             mv.fixed_point_test(mv.SpectralMeasure.beta(1.0, 1.0), 100, seed=0)
