@@ -41,36 +41,43 @@ _PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)
 def angle_to_direction(phi):
     """Map an angle to the unit vector (cos(phi), sin(phi)) in R^2.
 
-    Angles outside [0, 2*pi) are reduced modulo 2*pi rather than rejected.
-    Accepts a scalar or an array; returns shape (2,) or (n, 2).
+    Angles outside [0, 2*pi) are reduced modulo 2*pi rather than rejected;
+    NaN and +-inf raise ValidationError. Accepts a scalar or an array;
+    returns shape (2,) or (n, 2).
     """
     phi = _reduce_angles(phi)
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
 def _reduce_angles(phi):
-    """``phi`` as a float array reduced modulo 2*pi."""
-    phi = np.asarray(phi, dtype=float)
+    """``phi`` as a float array of finite angles reduced modulo 2*pi."""
+    phi = _real_array("angles", phi)
     # the reduction returns every angle in (0, 2*pi) unchanged, so skip its
-    # copy then; zeros (-0.0 becomes +0.0), NaN and the rest still take it
+    # copy then; zeros (-0.0 becomes +0.0) and the rest still take it, after
+    # a check for NaN and +-inf, on which it warns
     if not (phi.size and 0.0 < phi.min() and phi.max() < TWO_PI):
+        if not np.isfinite(phi).all():
+            raise ValidationError("angles must be finite")
         phi = phi % TWO_PI
     return phi
 
 
 def _as_unit_directions(directions, dim):
     """``directions`` as a (k, dim) float array of finite unit vectors."""
-    s = np.atleast_2d(np.asarray(directions, dtype=float))
+    s = np.atleast_2d(_real_array("directions", directions))
     if s.ndim != 2:
         raise ValidationError("directions must form a (k, d) array")
     if s.shape[1] != dim:
         raise ValidationError(f"directions have dim {s.shape[1]}, expected {dim}")
-    # a NaN or infinite coordinate fails the norm test too; isfinite names it
-    norms = np.linalg.norm(s, axis=1)
+    # a coordinate beyond 1, NaN or +-inf rules a unit vector out; it is
+    # refused before the squares, which overflow on a huge coordinate
+    if not np.abs(s).max(initial=0.0) <= 1.0 + _UNIT_NORM_TOL:
+        i = int(np.argmin((np.abs(s) <= 1.0 + _UNIT_NORM_TOL).all(axis=1)))
+        raise ValidationError(f"direction {i} is {s[i]!r}, which cannot have unit norm: "
+                              f"a coordinate is not finite or is beyond 1")
+    norms = np.sqrt(np.einsum("ij,ij->i", s, s))
     good = np.abs(norms - 1.0) <= _UNIT_NORM_TOL
     if not good.all():
-        if not np.isfinite(s).all():
-            raise ValidationError("directions must be finite")
         i = int(np.argmin(good))
         raise ValidationError(
             f"direction {i} has |s|={norms[i]!r}; unit norm required within {_UNIT_NORM_TOL}"
@@ -88,6 +95,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, least: int = 0, below: int | None = None) -> int:
     """``value`` as an int; ValidationError naming ``name`` unless it is an
     integer, not a bool, >= ``least`` (and < ``below`` when given)."""
@@ -100,11 +111,20 @@ def _check_count(name: str, value, least: int = 0, below: int | None = None) -> 
 def _check_real(name: str, value, low: float = 0.0, high: float = math.inf) -> float:
     """``value`` as a float; ValidationError naming ``name`` unless it is a
     real number, not a bool, with ``low < value < high`` (NaN fails)."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and low < value < high):
+    if not (_is_real(value) and low < value < high):
         span = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
         raise ValidationError(f"{name} must be finite and {span}, got {value!r}")
     return float(value)
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValidationError naming ``name`` unless
+    NumPy converts them to integers or floats, so bools, strings and other
+    objects fail. One dtype test: an array of floats passes uncopied."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 class _AtomSampler:
@@ -122,12 +142,19 @@ class _AtomSampler:
     point above ``b / M``. The draws are gathered from a (d, r) copy of the
     points and returned as the (n, d) transpose of a C-ordered (d, n) array.
     ``indices`` is the lookup alone, for uniforms the caller drew.
+
+    ``bound`` is the (d, 1) column 2^55 * max_j |points[j, c]|, +inf where
+    that overflows: a sum that a weight w times it cannot reach in any
+    coordinate absorbs every later draw weighted by at most w (see
+    ``samplers._atom_series``).
     """
 
     def __init__(self, points, weights, total):
         cdf = (weights / total).cumsum()
         cdf /= cdf[-1]
         self.columns = np.ascontiguousarray(np.transpose(points))
+        with np.errstate(over="ignore"):
+            self.bound = np.ldexp(np.abs(self.columns).max(axis=1, keepdims=True), 55)
         self.cdf = cdf
         self.buckets = 1 << (4 * len(cdf) - 1).bit_length()
         self.lo = cdf.searchsorted(np.arange(self.buckets) / self.buckets, "right")
@@ -181,7 +208,7 @@ class SpectralMeasure:
         _set("dim", _check_count("dim", self.dim, 1))
         if self.variant == FINITE:
             s = _as_unit_directions(self.directions, self.dim)
-            a = np.asarray(self.masses, dtype=float).reshape(-1)
+            a = _real_array("masses", self.masses).reshape(-1)
             if len(a) != len(s):
                 raise ValidationError("directions and masses must have equal length")
             if len(a) == 0:
@@ -213,17 +240,14 @@ class SpectralMeasure:
     @classmethod
     def finite(cls, directions, masses) -> "SpectralMeasure":
         """Finite-support measure sum_i a_i * delta_{s_i} with unit vectors s_i."""
-        s = np.atleast_2d(np.asarray(directions, dtype=float))
-        a = np.asarray(masses, dtype=float).reshape(-1)
+        s = np.atleast_2d(_real_array("directions", directions))
+        a = _real_array("masses", masses).reshape(-1)
         return cls(variant=FINITE, dim=s.shape[1], mass=float(a.sum()),
                    directions=s, masses=a)
 
     @classmethod
     def from_angles(cls, angles, masses) -> "SpectralMeasure":
         """Finite-support bivariate measure with atoms given by angles."""
-        angles = np.asarray(angles, dtype=float)
-        if not np.isfinite(angles).all():  # before ``% 2pi``, which warns on +-inf
-            raise ValidationError("atom angles must be finite")
         return cls.finite(angle_to_direction(angles), masses)
 
     @classmethod
@@ -373,7 +397,7 @@ def _number(obj, key, where, default=None) -> float:
         value = obj[key] if default is None else obj.get(key, default)
     except (TypeError, KeyError):
         raise ValidationError(f"{where} needs a numeric {key!r} field") from None
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ValidationError(f"{where} field {key!r} must be a number, got {value!r}")
     return float(value)
 
@@ -449,8 +473,8 @@ class BDLM:
         _set("theta", theta)
         _set("dim", _check_count("dim", self.dim, 1))
         if self.points is not None or self.weights is not None:
-            y = np.atleast_2d(np.asarray(self.points, dtype=float))
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
+            y = np.atleast_2d(_real_array("points", self.points))
+            w = _real_array("weights", self.weights).reshape(-1)
             if y.ndim != 2 or y.shape[1] != self.dim or len(w) != len(y):
                 raise ValidationError(f"points must form a (k, {self.dim}) array "
                                       f"with one weight per point")
@@ -481,8 +505,8 @@ class BDLM:
     @classmethod
     def from_atoms(cls, points, weights) -> "BDLM":
         """Finite-support nu = sum_j w_j * delta_{y_j} (y_j need not be unit)."""
-        y = np.atleast_2d(np.asarray(points, dtype=float))
-        w = np.asarray(weights, dtype=float).reshape(-1)
+        y = np.atleast_2d(_real_array("points", points))
+        w = _real_array("weights", weights).reshape(-1)
         return cls(theta=float(w.sum()), dim=y.shape[1], base_sampler=None,
                    points=y, weights=w)
 

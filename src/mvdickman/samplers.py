@@ -49,11 +49,16 @@ uniforms. A block takes one pass for its weights and one guide-table lookup
 (``_AtomSampler.indices``) for its directions; then each term gathers its
 atoms into the (d, n) buffer and is added in term order. This is chosen
 when the direction sampler is a finite SpectralMeasure's
-``sample_directions`` or a ``BDLM.from_atoms`` sampler. Every other case
-runs ``_series``, one term at a time: beta angles, as ``rng.beta`` takes a
-variable number of stream values; SN at alpha != 1, whose exponentials are
-drawn by ziggurat; and ``BDLM.from_sampler`` samplers, whose draws are
-unknown. DS sums one GD series per atom.
+``sample_directions`` or a ``BDLM.from_atoms`` sampler. SN's weights there
+never rise and fall geometrically (E log w_i = -i / (T*theta)), so from
+about term 38 * T*theta on, ``_atom_series`` retires the rows whose sum no
+later term can change by a bit: their uniforms are still drawn, but not
+weighed, looked up or added, and the live rows are gathered into a smaller
+sum once half have retired. Every other case runs ``_series``, one term at
+a time: beta angles, as ``rng.beta`` takes a variable number of stream
+values; SN at alpha != 1, whose exponentials are drawn by ziggurat; and
+``BDLM.from_sampler`` samplers, whose draws are unknown. DS sums one GD
+series per atom.
 
 Normalization note: the shot-noise weights used here are
 ``exp(-(alpha * Gamma_i / (T * theta))^(1/alpha))`` with unit-rate arrival
@@ -83,7 +88,7 @@ import numpy as np
 
 from .errors import UnsupportedMeasureError, ValidationError
 from .measures import (FINITE, LStarParams, SpectralMeasure, _AtomSampler, _check_count,
-                       _check_real, _lock, md_from_spectral)
+                       _check_real, _is_real, _lock, md_from_spectral)
 
 _DEFAULT_GD_TOL = 1e-12
 
@@ -109,6 +114,12 @@ MAX_CELL_WORK = 10 ** 10
 #: arrays, a finite SN or TA chunk of 8192 rows then peaks under 2 MiB of
 #: traced memory, against about 0.6 MiB drawn one term at a time.
 _BLOCK = 1 << 16
+
+#: 55 log 2: the alpha = 1 SN weight w_i has E log w_i = -i / t_theta, so
+#: from about term 55 log 2 * t_theta on a lane's w_i * max|Y| falls under
+#: 2^-55 |sum| and ``_atom_series`` may retire it; before then, checking
+#: would cost more than it saves.
+_SETTLE_TERMS = 55.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -176,8 +187,10 @@ class LevyPathSkeleton:
         return list(zip(self.times.tolist(), [j for j in self.jumps]))
 
     def value_at(self, t: float) -> np.ndarray:
-        if not 0.0 <= t <= self.horizon:
-            raise ValidationError("t must lie in [0, T]")
+        """The marginal at time t, a real number in the closed range [0, T]."""
+        if not (_is_real(t) and 0.0 <= t <= self.horizon):
+            raise ValidationError(f"t must be a real number in [0, T] = "
+                                  f"[0, {self.horizon!r}], got {t!r}")
         x = t * self.drift
         if len(self.times):
             x = x + self.jumps[self.times <= t].sum(axis=0)
@@ -252,18 +265,59 @@ def _series(weigh, variates, terms, draw, rng, out):
     return out
 
 
-def _atom_series(weigh, terms, atoms, rng, out):
+def _atom_series(weigh, terms, atoms, rng, out, settle=None):
     """``_series`` for uniform weight variates and directions from the
     ``_AtomSampler`` ``atoms``, a (b, 2, n) block of terms at a time: row
     [t, 0] holds term t's weight uniforms, row [t, 1] its direction uniforms.
     One lookup maps a block's direction uniforms to atoms, and each term
-    gathers its atoms into one (d, n) buffer."""
-    y = np.empty_like(out)
+    gathers its atoms into one (d, n) buffer.
+
+    Weights that never rise pass ``settle``: from that term on, lanes are
+    checked at each block end but the last. A lane (a column o of the sum) whose last weight w has
+    fl(B_c * w) < |o_c| in every coordinate c, with B = ``atoms.bound``, is
+    retired: its uniforms are still drawn, so the stream is kept, but they
+    are no longer weighed, looked up or added, as no later term could change
+    a bit of it. Proof: rounding is monotone and |o_c| is a float, so
+    B_c * w < |o_c| exactly and B_c = 2^55 M_c is finite, M_c = max |y_c|.
+    A later summand d = fl(w' * y_c) has w' <= w, so
+    |w' * y_c| <= w * M_c < 2^-55 |o_c| < 2^(e-54), with
+    2^e <= |o_c| < 2^(e+1). If 2^(e-54) is a float, |d| <= 2^(e-54): under
+    half the gap from o_c to either neighbour, or at |o_c| = 2^e half the
+    gap below, where the tie goes to the even o_c; so o_c + d rounds to o_c.
+    If it is not, it is at most half the least subnormal, so d = +-0, and
+    o_c + d = o_c as o_c != 0. An infinite o_c stays, as d is finite. A zero
+    o_c, a NaN and an infinite B_c * w fail the test: they keep a lane live.
+
+    Once at least half of the live lanes have retired, the rest are gathered
+    into a smaller sum, and their weights are moved to the front of the
+    buffer the weigher yields: the weigher must weigh the first len(row)
+    lanes of its state, as ``_unit_sn_weigher`` does. The retired sums go
+    back into ``out`` then, and the rest at the end."""
+    lanes, o = None, out  # the columns of ``out`` still live, and their sum
+    y, done = np.empty_like(out), 0
     for u in _uniform_blocks(terms, (2, out.shape[1]), rng):
+        done += len(u)
+        if lanes is not None:
+            if not lanes.size:
+                continue
+            u = u.take(lanes, axis=2)
         for w, i in zip(weigh(u[:, 0]), atoms.indices(u[:, 1])):
             # the indices are in range; "clip" lets take write y unbuffered
             atoms.columns.take(i, axis=1, out=y, mode="clip")
-            out += np.multiply(y, w, out=y)
+            o += np.multiply(y, w, out=y)
+        if settle is None or not settle <= done < terms:
+            continue
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which stays live
+            settled = np.less(np.multiply(atoms.bound, w, out=y), np.abs(o)).all(axis=0)
+        if 2 * np.count_nonzero(settled) >= len(settled):
+            keep = np.flatnonzero(~settled)
+            if lanes is not None:
+                out[:, lanes] = o
+            lanes = keep if lanes is None else lanes[keep]
+            o, w[:len(keep)] = o.take(keep, axis=1), w[keep]
+            y = np.empty_like(o)
+    if lanes is not None:
+        out[:, lanes] = o
     return out
 
 
@@ -302,7 +356,7 @@ def _uniform_powers(u, t_theta, low):
         np.maximum(u, low, out=u)
         u **= 1.0 / t_theta
         np.subtract(u, low, out=u)
-    else:
+    elif t_theta != 1.0:  # u **= 1.0 would copy u onto itself
         u **= 1.0 / t_theta
     return u
 
@@ -311,14 +365,17 @@ def _unit_sn_weigher(t_theta, n):
     """The weigher that turns an (m, n) block of uniforms U, in place, into
     the alpha = 1 shot-noise weights of the next m terms, yielded in one (n,)
     buffer: the running product of U^(1/t_theta), carried across calls. It
-    has the law of exp(-Gamma_i / t_theta) without exponentials."""
+    has the law of exp(-Gamma_i / t_theta) without exponentials, and never
+    rises. A block of m < n lanes is weighed on the first m lanes of the
+    state (see ``_atom_series``)."""
     w = np.ones(n)
 
     def weigh(u):
         # row by row: np.multiply.accumulate and np.add.accumulate along
         # axis 0 of a (6, 8192) block took ten times as long
+        live = w[:u.shape[1]]
         for row in _uniform_powers(u, t_theta, np.empty(u.shape, dtype=bool)):
-            yield np.multiply(w, row, out=w)
+            yield np.multiply(live, row, out=live)
     return weigh
 
 
@@ -338,7 +395,8 @@ def _epoch_weigher(alpha, t_theta, n):
 def _ta_weigh(u, alpha, npow):
     """Turn the uniforms ``u`` (V), in place, into the triangular-array
     weights (1 - V^(1/alpha))^npow, and return them."""
-    u **= 1.0 / alpha
+    if alpha != 1.0:  # u **= 1.0 would copy u onto itself
+        u **= 1.0 / alpha
     np.subtract(1.0, u, out=u)
     u **= npow
     return u
@@ -368,7 +426,8 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
         weigh = _epoch_weigher(params.alpha, t_theta, n)
         out = _series(weigh, rng.standard_exponential, k, draw, rng, out)
     elif atoms is not None:
-        out = _atom_series(_unit_sn_weigher(t_theta, n), k, atoms, rng, out)
+        out = _atom_series(_unit_sn_weigher(t_theta, n), k, atoms, rng, out,
+                           settle=math.ceil(_SETTLE_TERMS * t_theta))
     else:
         out = _series(_unit_sn_weigher(t_theta, n), rng.random, k, draw, rng, out)
     return np.ascontiguousarray(out.T)

@@ -355,3 +355,36 @@ def test_bad_scalar_raises_package_error(entry, value):
             call(value)
     else:
         assert np.isfinite(np.asarray(call(value), dtype=float)).all()
+
+
+#: each public entry point that takes an array of reals, with the array's
+#: one entry left open: the call, which returns numbers. The test is on the
+#: dtype NumPy converts the array to, so a bool among numbers is not seen;
+#: an array of bools is.
+ARRAY_ARGS = {
+    "SpectralMeasure.from_angles angles": lambda v: mv.SpectralMeasure.from_angles(
+        [v], [1.0]).directions,
+    "SpectralMeasure.from_angles masses": lambda v: mv.SpectralMeasure.from_angles(
+        [0.0], [v]).masses,
+    "SpectralMeasure.finite directions": lambda v: mv.SpectralMeasure.finite(
+        [[v]], [1.0]).directions,
+    "SpectralMeasure.finite masses": lambda v: mv.SpectralMeasure.finite(
+        [[1.0, 0.0]], [v]).masses,
+    "SpectralMeasure masses": lambda v: mv.SpectralMeasure(
+        "finite", 2, 1.0, directions=[[1.0, 0.0]], masses=[v]).masses,
+    "BDLM.from_atoms points": lambda v: mv.BDLM.from_atoms([[v]], [1.0]).points,
+    "BDLM.from_atoms weights": lambda v: mv.BDLM.from_atoms([[1.0]], [v]).weights,
+    "BDLM weights": lambda v: mv.BDLM(1.0, 1, None, points=[[1.0]], weights=[v]).weights,
+    "angle_to_direction": lambda v: mv.angle_to_direction([v]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(ARRAY_ARGS))
+@pytest.mark.parametrize("value", [True, False, "1", "0.5", None, {"a": 1}, 1j],
+                         ids=["True", "False", "str-1", "str-0.5", "None", "dict", "complex"])
+def test_bad_array_entry_raises_package_error(entry, value):
+    with pytest.raises(PACKAGE_ERRORS):
+        ARRAY_ARGS[entry](value)
+    # the entry's valid value, 1, builds the object
+    assert np.isfinite(ARRAY_ARGS[entry](1)).all()

@@ -39,10 +39,15 @@ ANGLES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(phi=st.lists(ANGLES, max_size=20), in_range=st.booleans())
 def test_angle_to_direction_skips_only_an_identity_reduction(phi, in_range):
-    """Angles all in (0, 2*pi) skip ``% 2*pi``; the bits equal the reduced map's."""
+    """Angles all in (0, 2*pi) skip ``% 2*pi``; the bits equal the reduced map's.
+    A NaN is refused, before the reduction."""
     phi = np.array(phi, dtype=float)
     if in_range:
         phi = phi[(phi > 0.0) & (phi < mv.measures.TWO_PI)]
+    if np.isnan(phi).any():
+        with pytest.raises(ValidationError, match="angles must be finite"):
+            mv.angle_to_direction(phi)
+        phi = phi[~np.isnan(phi)]
     reduced = phi % mv.measures.TWO_PI
     ref = np.stack([np.cos(reduced), np.sin(reduced)], axis=-1)
     np.testing.assert_array_equal(_bits(mv.angle_to_direction(phi)), _bits(ref))
@@ -133,6 +138,21 @@ class TestSpectralMeasure:
                 mv.SpectralMeasure.from_angles([bad, 0.0], [1.0, 1.0])
         with pytest.raises(ValidationError, match="finite"):
             mv.SpectralMeasure.finite([[bad, 0.0], [1.0, 0.0]], [1.0, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda: mv.SpectralMeasure.finite([[1e200, 0.0]], [1.0]),
+        lambda: mv.SpectralMeasure.finite([[1e-200, -1e300], [1.0, 0.0]], [1.0, 1.0]),
+        lambda: mv.BDLM.from_spectral(mv.SpectralMeasure.finite([[1.0, 1e155]], [1.0])),
+        lambda: mv.angle_to_direction(np.inf),
+        lambda: mv.angle_to_direction([0.5, -np.inf]),
+        lambda: mv.angle_to_direction(np.nan),
+    ], ids=["huge", "huge-second", "square-overflows", "inf", "minus-inf-among", "nan"])
+    def test_refuses_a_non_unit_direction_without_a_warning(self, call):
+        # coordinates beyond 1 and non-finite angles are refused before the
+        # norm or the reduction, which warn on them
+        with pytest.raises(ValidationError, match="unit norm|angles must be finite"):
+            call()
 
     @pytest.mark.parametrize("directions, mass", [([[np.nan, 0.0]], 1.0),
                                                   ([[1.0, 0.0]], 2.0)])

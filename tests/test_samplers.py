@@ -331,6 +331,25 @@ _ATOM_SIZES = [1, 7, 7808, 8192, 10_000, mv.samplers._BLOCK // 2 + 7]
 _SN_TERMS = [1, 3, 5, 37]
 _TA_ARRAYS = [(1.0, 1), (2.0, 3), (0.5, 7), (1.0, 30)]
 
+#: SN term counts past the first settled-lane check (term 58 at
+#: T * theta = 1.5, term 2 at 0.05): at 1.5, some lanes are still live at
+#: the end of 80 terms, and all have retired by 120. They run on
+#: ``_ATOM_MODELS`` with the drift of ``test_sn``, and on three more: atoms
+#: on the first axis, without drift in the second coordinate (which then
+#: stays exactly 0 and keeps every lane live) and with it (which then is
+#: settled from the start), and a coordinate of 1e300, whose bound
+#: 2^55 * 1e300 overflows
+_SETTLED_TERMS = [80, 120, 400]
+_AXIS_ATOMS = mv.BDLM.from_atoms([[1.0, 0.0], [-0.5, 0.0], [2.0, 0.0]], [0.5, 0.3, 0.2])
+_SETTLED_MODELS = {
+    **{model: (bdlm, [0.1, -0.2, 0.3][:bdlm.dim], _ATOM_SIZES)
+       for model, bdlm in _ATOM_MODELS.items()},
+    "axis-zero": (_AXIS_ATOMS, [0.1, 0.0], [7, 8192]),
+    "axis": (_AXIS_ATOMS, [0.1, -0.2], [7, 8192]),
+    "bound-overflows": (mv.BDLM.from_atoms([[1e300, 0.0], [0.0, -1.0], [-1e-300, 3.0]],
+                                           [0.3, 0.5, 0.2]), [0.1, -0.0], [7, 8192]),
+}
+
 
 class TestStreamsPinned:
     MODELS = {"finite": mv.evenly_spaced_spectral(7),
@@ -364,6 +383,32 @@ class TestStreamsPinned:
         params = mv.LStarParams(alpha=alpha, bdlm=bdlm, gamma=gamma)
         self._same(lambda r: mv.sample_sn_batch(params, k, n, r, T=T),
                    lambda r: _loop_sn(params, k, n, r, T=T), 11)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bdlm, gamma, T, k, n", [
+        pytest.param(bdlm, gamma, T, k, n, id=f"{model}-k{k}-n{n}-T{T}")
+        for model, (bdlm, gamma, sizes) in _SETTLED_MODELS.items() for n in sizes
+        for k in _SETTLED_TERMS for T in (1.5, 0.05)])
+    def test_sn_past_settling(self, bdlm, gamma, T, k, n):
+        params = mv.LStarParams(alpha=1.0, bdlm=bdlm, gamma=gamma)
+        self._same(lambda r: mv.sample_sn_batch(params, k, n, r, T=T),
+                   lambda r: _loop_sn(params, k, n, r, T=T), 11)
+
+    def test_sn_retires_settled_lanes(self, monkeypatch):
+        # the r200 benchmark chunk at k = 200 looks up under half of its
+        # k * n direction uniforms: the settled lanes' are skipped
+        looked_up = []
+        lookup = mv.measures._AtomSampler.indices
+
+        def count(atoms, u):
+            looked_up.append(u.size)
+            return lookup(atoms, u)
+
+        monkeypatch.setattr(mv.measures._AtomSampler, "indices", count)
+        k, n = 200, mv.samplers._CHUNK
+        mv.sample_sn_batch(mv.md_from_spectral(_unequal_atoms(13)), k, n,
+                           np.random.default_rng(21))
+        assert sum(looked_up) < k * n / 2
 
     @pytest.mark.parametrize("draw, alpha, sharpness, n", [
         pytest.param(sigma.sample_directions, alpha, sharpness, 1001,
@@ -449,6 +494,40 @@ class TestPowUnderflowPremise:
             x = x[(x < cut) | (x == 0.0)]
             y = x ** (1.0 / theta)
             assert np.all(y == 0.0) and not np.signbit(y).any(), theta
+
+
+class TestSettledLanePremise:
+    """``_atom_series`` retires a lane of the SN sum once each later summand
+    d has |d| <= 2^(e-54), where 2^e <= |o| < 2^(e+1) for each coordinate o
+    of the sum, and d = +-0 where o is subnormal. That keeps the streams only
+    if o + d rounds to o, and if a weight, a running product of powers of
+    uniforms, never rises."""
+
+    def test_sum_absorbs_a_summand_under_its_bound(self):
+        e = np.arange(-1022, 1024)
+        rng = np.random.default_rng(22)
+        # the bottom (a tie with the gap below), a random point and the top
+        # of each binade; d = 2^(e-54) rounds to +0 at 2^-1075 and below
+        d = np.ldexp(1.0, e - 54)
+        for o in (np.ldexp(1.0, e), np.ldexp(1.0 + rng.random(e.size), e),
+                  np.ldexp(2.0 - 2.0 ** -52, e)):
+            for x in (o, -o):
+                np.testing.assert_array_equal(x + d, x)
+                np.testing.assert_array_equal(x - d, x)
+
+    def test_subnormal_sum_takes_only_zero_summands(self):
+        o = np.ldexp(1.0 + np.random.default_rng(23).random(52), np.arange(-1074, -1022))
+        d = np.ldexp(o, -55)  # over every |w y| that leaves o settled
+        assert not d.any()
+        np.testing.assert_array_equal(o + d, o)
+        np.testing.assert_array_equal(-o - d, -o)
+
+    @pytest.mark.parametrize("t_theta", [1.0, 1.5, 0.05, 1e-3, 0.9 * _SWITCH_THETA, 40.0])
+    def test_weights_never_rise(self, t_theta):
+        u = np.concatenate([[np.nextafter(1.0, 0.0), 0.0, 5e-324],
+                            np.random.default_rng(24).random(2000)])
+        p = mv.samplers._uniform_powers(u.copy(), t_theta, np.empty(u.shape, dtype=bool))
+        assert (p <= 1.0).all() and (p >= 0.0).all()
 
 
 class TestBlockKernelPremise:
@@ -590,6 +669,15 @@ class TestLevyPath:
         path = mv.sample_levy_path(self._params(), 1.0, 10, np.random.default_rng(1))
         with pytest.raises(ValidationError):
             path.value_at(1.5)
+
+    @pytest.mark.parametrize("t", ["2", "0.5", None, [0.5], True, math.nan, math.inf,
+                                   -math.inf, -0.1, np.nextafter(2.0, 3.0)])
+    def test_value_at_takes_a_real_t_in_the_closed_range(self, t):
+        path = mv.sample_levy_path(self._params(), 2.0, 10, np.random.default_rng(2))
+        with pytest.raises(ValidationError, match="^t must be"):
+            path.value_at(t)
+        for t in (0, 0.0, 1, np.float64(1.5), np.int64(2), 2.0):
+            assert path.value_at(t).shape == (2,)
 
 
 class TestSampleBatch:
