@@ -117,14 +117,33 @@ def _check_real(name: str, value, low: float = 0.0, high: float = math.inf) -> f
     return float(value)
 
 
+def _check_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as an index array; ValidationError unless it is a 1-D array
+    of integers (not bools) in [0, n)."""
+    rows = np.asarray(rows)
+    if not (rows.ndim == 1 and rows.dtype.kind in "iu"
+            and (not rows.size or 0 <= rows.min() and rows.max() < n)):
+        raise ValidationError(f"rows must be a 1-D integer array with values in "
+                              f"[0, {n}), got {rows!r}")
+    return rows
+
+
 def _real_array(name: str, values) -> np.ndarray:
     """``values`` as a float array; ValidationError naming ``name`` unless
-    NumPy converts them to integers or floats, so bools, strings and other
-    objects fail. One dtype test: an array of floats passes uncopied."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "iuf":
-        raise ValidationError(f"{name} must be real numbers, got dtype {a.dtype}")
-    return a.astype(float, copy=False)
+    each entry is a real number, so bools, strings and other objects fail.
+    An ndarray takes one dtype test, and an array of floats passes uncopied.
+    Anything else (a list, nested lists, a scalar) takes one pass over its
+    entries before NumPy converts them, which would turn a bool or a numeric
+    string among floats into a float."""
+    if not isinstance(values, np.ndarray):
+        entries = np.asarray(values, dtype=object)
+        for x in entries.flat:
+            if not _is_real(x):
+                raise ValidationError(f"{name} must be real numbers, got {x!r}")
+        return entries.astype(float)
+    if values.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be real numbers, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
 
 
 class _AtomSampler:
@@ -141,7 +160,8 @@ class _AtomSampler:
     ``b / M`` are exact, and bucket b starts the search at the first cut
     point above ``b / M``. The draws are gathered from a (d, r) copy of the
     points and returned as the (n, d) transpose of a C-ordered (d, n) array.
-    ``indices`` is the lookup alone, for uniforms the caller drew.
+    ``indices`` is the lookup alone, for uniforms the caller drew. A call
+    with ``rows`` draws all n uniforms and looks up only those rows.
 
     ``bound`` is the (d, 1) column 2^55 * max_j |points[j, c]|, +inf where
     that overflows: a sum that a weight w times it cannot reach in any
@@ -176,8 +196,10 @@ class _AtomSampler:
             i, ui = i[step], ui[step]
         return idx
 
-    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.columns.take(self.indices(rng.random(n)), axis=1).T
+    def __call__(self, rng: np.random.Generator, n: int, rows=None) -> np.ndarray:
+        u = rng.random(n)
+        return self.columns.take(self.indices(u if rows is None else u.take(rows)),
+                                 axis=1).T
 
 
 @dataclass(frozen=True)
@@ -285,6 +307,12 @@ class SpectralMeasure:
         mass / (2*pi) * exp((a-1) log u + (b-1) log(1-u) - log B(a, b))
         with u = x / (2*pi); ``xlogy`` keeps 0 * log 0 = 0 at a = 1 or
         b = 1. Every other shape uses the first form, bit for bit.
+
+        Either way the density carries the relative error of SciPy's
+        ``beta`` and ``betaln``, up to 1e-12 on large shapes (``betaln(1,
+        1000)`` is off by -9.9e-13 against mpmath); ``md_moments`` rescales
+        its integrals by their own mass, which takes that error away, but any
+        other user of ``density`` sees it.
         """
         from scipy.special import beta as beta_fn
         from scipy.special import betaln, xlog1py, xlogy
@@ -324,7 +352,8 @@ class SpectralMeasure:
     def _atom_sampler(self) -> _AtomSampler:
         return _AtomSampler(self.directions, self.masses, self.mass)
 
-    def sample_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_directions(self, rng: np.random.Generator, n: int,
+                          rows=None) -> np.ndarray:
         """Draw n unit vectors from the normalized measure sigma/theta.
 
         Finite measures draw by inverse CDF with a guide table built on the
@@ -332,20 +361,35 @@ class SpectralMeasure:
         exactly those of ``directions[rng.choice(len(p), size=n, p=masses /
         mass)]``. ``n`` must be an integer >= 0.
 
+        ``rows``, a 1-D integer array of values in [0, n), returns only those
+        draws: ``sample_directions(rng, n)[rows]`` bit for bit, leaving the
+        generator in the same state. All n are still drawn, as the stream
+        requires, but only the rows asked for are mapped to directions (cos
+        and sin of their angles, or their atoms). Anything else as ``rows``
+        raises ValidationError. The series kernels pass the rows whose sum a
+        term can still change.
+
         Draws are returned as the (n, d) transpose of a C-ordered (d, n)
-        array, so that the series kernels read and multiply each coordinate
-        as one contiguous row.
+        array (or (len(rows), d) of a (d, len(rows)) one), so that the series
+        kernels read and multiply each coordinate as one contiguous row.
         """
         _check_count("n", n)
+        if rows is not None:
+            rows = _check_rows(rows, n)
         if self.variant == FINITE:
-            return self._atom_sampler(rng, n)
+            return self._atom_sampler(rng, n, rows)
         if self.angle_sampler is None:
             raise UnsupportedMeasureError(
                 "this angular measure carries no angle sampler; attach one "
                 "to construct draws"
             )
         phi = _reduce_angles(self.angle_sampler(rng, n))
-        s = np.empty((2, n))
+        if phi.shape != (n,):
+            raise ValidationError(f"the angle sampler returned shape {phi.shape} "
+                                  f"for n={n}, expected ({n},)")
+        if rows is not None:
+            phi = phi.take(rows)
+        s = np.empty((2, len(phi)))
         np.cos(phi, out=s[0])
         np.sin(phi, out=s[1])
         return s.T
@@ -538,7 +582,7 @@ class LStarParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_real("alpha", self.alpha))
         g = self.gamma
-        g = np.zeros(self.bdlm.dim) if g is None else np.asarray(g, dtype=float).reshape(-1)
+        g = np.zeros(self.bdlm.dim) if g is None else _real_array("gamma", g).reshape(-1)
         if len(g) != self.bdlm.dim:
             raise ValidationError(
                 f"gamma has dim {len(g)}, BDLM has dim {self.bdlm.dim}")

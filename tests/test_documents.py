@@ -357,10 +357,10 @@ def test_bad_scalar_raises_package_error(entry, value):
         assert np.isfinite(np.asarray(call(value), dtype=float)).all()
 
 
-#: each public entry point that takes an array of reals, with the array's
-#: one entry left open: the call, which returns numbers. The test is on the
-#: dtype NumPy converts the array to, so a bool among numbers is not seen;
-#: an array of bools is.
+#: each public entry point that takes an array of reals, with one entry of
+#: the array left open: the call, which returns numbers. The "mixed" entries
+#: put the open one after a float, which NumPy would convert a bool or a
+#: numeric string to a float beside, so each entry is tested before that.
 ARRAY_ARGS = {
     "SpectralMeasure.from_angles angles": lambda v: mv.SpectralMeasure.from_angles(
         [v], [1.0]).directions,
@@ -376,6 +376,31 @@ ARRAY_ARGS = {
     "BDLM.from_atoms weights": lambda v: mv.BDLM.from_atoms([[1.0]], [v]).weights,
     "BDLM weights": lambda v: mv.BDLM(1.0, 1, None, points=[[1.0]], weights=[v]).weights,
     "angle_to_direction": lambda v: mv.angle_to_direction([v]),
+    "SpectralMeasure.from_angles angles, mixed": lambda v: mv.SpectralMeasure.from_angles(
+        [0.0, v], [1.0, 1.0]).directions,
+    "SpectralMeasure.from_angles masses, mixed": lambda v: mv.SpectralMeasure.from_angles(
+        [0.0, 1.0], [1.0, v]).masses,
+    "SpectralMeasure.finite directions, mixed": lambda v: mv.SpectralMeasure.finite(
+        [[1.0, 0.0], [v, 0.0]], [1.0, 1.0]).directions,
+    "BDLM.from_atoms points, mixed": lambda v: mv.BDLM.from_atoms(
+        [[1.0], [v]], [1.0, 1.0]).points,
+    "BDLM.from_atoms weights, mixed": lambda v: mv.BDLM.from_atoms(
+        [[1.0], [2.0]], [1.0, v]).weights,
+    "angle_to_direction, mixed": lambda v: mv.angle_to_direction([0.0, v]),
+    "LStarParams gamma": lambda v: mv.LStarParams(
+        1.0, mv.gd_params(1.0).bdlm, gamma=[v]).gamma,
+    "LStarParams gamma, mixed": lambda v: mv.LStarParams(
+        1.0, mv.md_from_spectral(mv.evenly_spaced_spectral(3)).bdlm, gamma=[0.0, v]).gamma,
+    "LevyPathSkeleton drift": lambda v: mv.LevyPathSkeleton(
+        1.0, [v], [0.5], [[1.0]]).drift,
+    "LevyPathSkeleton times": lambda v: mv.LevyPathSkeleton(
+        1.0, [0.0], [v], [[1.0]]).times,
+    "LevyPathSkeleton times, mixed": lambda v: mv.LevyPathSkeleton(
+        1.0, [0.0], [0.5, v], [[1.0], [1.0]]).times,
+    "LevyPathSkeleton jumps": lambda v: mv.LevyPathSkeleton(
+        1.0, [0.0], [0.5], [[v]]).jumps,
+    "LevyPathSkeleton jumps, mixed": lambda v: mv.LevyPathSkeleton(
+        1.0, [0.0, 0.0], [0.5], [[1.0, v]]).jumps,
 }
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -351,6 +352,21 @@ _SETTLED_MODELS = {
 }
 
 
+#: angular measures whose SN (alpha = 1) and TA series skip absorbed
+#: summands: beta(2,5), the sweeps' model, and the uniform beta(1,1), whose
+#: angles take ``random`` instead of ``rng.beta``
+_ANGLE_MODELS = {"beta25": mv.SpectralMeasure.beta(2.0, 5.0),
+                 "uniform": mv.SpectralMeasure.beta(1.0, 1.0)}
+
+#: SN term counts past the first absorption check (term 58 at T = 1.5, term
+#: 2 at T = 0.05), row counts of a few rows, a chunk, and a chunk and a
+#: tail, and TA sharpnesses on either side of the check's threshold
+#: 2 * 55 log 2 = 76.2
+_ANGLE_TERMS = [60, 200, 400]
+_ANGLE_SIZES = [7, 8192, 10_000]
+_ANGLE_SHARPNESS = [76, 77, 200, 400]
+
+
 class TestStreamsPinned:
     MODELS = {"finite": mv.evenly_spaced_spectral(7),
               "beta": mv.SpectralMeasure.beta(2.0, 5.0)}
@@ -409,6 +425,85 @@ class TestStreamsPinned:
         mv.sample_sn_batch(mv.md_from_spectral(_unequal_atoms(13)), k, n,
                            np.random.default_rng(21))
         assert sum(looked_up) < k * n / 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma, gamma, T, k, n", [
+        pytest.param(sigma, [0.0, 0.0], T, k, n, id=f"{model}-k{k}-n{n}-T{T}")
+        for model, sigma in _ANGLE_MODELS.items()
+        for k in _ANGLE_TERMS for n in _ANGLE_SIZES for T in (1.5, 0.05)] + [
+        pytest.param(_ANGLE_MODELS["beta25"], [0.1, -0.0], T, 200, 8192,
+                     id=f"beta25-drift-T{T}") for T in (1.5, 0.05)])
+    def test_sn_on_angles(self, sigma, gamma, T, k, n):
+        params = mv.LStarParams(alpha=1.0, bdlm=mv.BDLM.from_spectral(sigma), gamma=gamma)
+        self._same(lambda r: mv.sample_sn_batch(params, k, n, r, T=T),
+                   lambda r: _loop_sn(params, k, n, r, T=T), 11)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma, alpha, sharpness, n", [
+        pytest.param(sigma, 1.0, sharpness, n, id=f"{model}-{sharpness}-n{n}")
+        for model, sigma in _ANGLE_MODELS.items() for sharpness in _ANGLE_SHARPNESS
+        for n in _ANGLE_SIZES[:2]] + [
+        pytest.param(_ANGLE_MODELS["beta25"], alpha, sharpness, 1001,
+                     id=f"beta25-alpha{alpha}-{sharpness}")
+        for alpha, sharpness in [(0.5, 400), (2.0, 77)]])
+    def test_ta_on_angles(self, sigma, alpha, sharpness, n):
+        draw = sigma.sample_directions
+        self._same(lambda r: mv.sample_ta_batch(alpha, draw, 1.3, sharpness, n, r),
+                   lambda r: _loop_ta(alpha, draw, 1.3, sharpness, n, r), 12)
+
+    @pytest.mark.parametrize("method", ["SN", "TA"])
+    def test_skips_absorbed_summands(self, monkeypatch, method):
+        # the beta(2,5) benchmark chunk at k = 200 maps under half of its
+        # k * n angles to directions: the absorbed summands' are skipped
+        mapped = []
+        draw = mv.SpectralMeasure.sample_directions
+
+        @functools.wraps(draw)
+        def count(sigma, rng, n, rows=None):
+            mapped.append(n if rows is None else len(rows))
+            return draw(sigma, rng, n, rows=rows)
+
+        monkeypatch.setattr(mv.SpectralMeasure, "sample_directions", count)
+        k, n, sigma = 200, mv.samplers._CHUNK, _ANGLE_MODELS["beta25"]
+        if method == "SN":
+            mv.sample_sn_batch(mv.md_from_spectral(sigma), k, n, np.random.default_rng(21))
+        else:
+            mv.sample_ta_batch(1.0, sigma.sample_directions, sigma.mass, k, n,
+                               np.random.default_rng(21))
+            mapped.pop(0)  # the dimension probe
+        assert len(mapped) == k
+        assert sum(mapped) < k * n / 2
+
+    @pytest.mark.parametrize("model", ["beta25", "uniform", "finite"])
+    def test_rows_pick_draws_of_the_full_stream(self, model):
+        sigma = {**_ANGLE_MODELS, "finite": _unequal_atoms(13)}[model]
+        n = 1001
+        subset = np.flatnonzero(np.random.default_rng(25).random(n) < 0.3)
+        for rows in (np.empty(0, dtype=np.intp), np.arange(n), subset,
+                     np.array([5, 5, 0], dtype=np.int32)):
+            a, b = np.random.default_rng(26), np.random.default_rng(26)
+            y = sigma.sample_directions(a, n, rows=rows)
+            np.testing.assert_array_equal(y, sigma.sample_directions(b, n)[rows])
+            assert y.shape == (len(rows), sigma.dim) and y.T.flags.c_contiguous
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("model", ["beta25", "uniform", "finite"])
+    @pytest.mark.parametrize("rows", [
+        np.array([0.0, 1.0]), np.array([True, False]), np.array([0, 10]),
+        np.array([-1, 2]), np.array([[0, 1]]), np.int64(3), [0.5], "0"],
+        ids=["float", "bool", "past-n", "negative", "2-d", "scalar", "list-float", "str"])
+    def test_bad_rows_raise(self, model, rows):
+        sigma = {**_ANGLE_MODELS, "finite": _unequal_atoms(13)}[model]
+        with pytest.raises(ValidationError):
+            sigma.sample_directions(np.random.default_rng(27), 10, rows=rows)
+
+    @pytest.mark.parametrize("rows", [None, np.arange(3)], ids=["all", "rows"])
+    def test_angle_sampler_of_wrong_length_raises(self, rows):
+        sigma = mv.SpectralMeasure.angular(
+            lambda x: np.full_like(x, 1.0 / (2.0 * np.pi)),
+            angle_sampler=lambda rng, n: 2.0 * np.pi * rng.random(n + 1))
+        with pytest.raises(ValidationError):
+            sigma.sample_directions(np.random.default_rng(28), 10, rows=rows)
 
     @pytest.mark.parametrize("draw, alpha, sharpness, n", [
         pytest.param(sigma.sample_directions, alpha, sharpness, 1001,
