@@ -40,7 +40,7 @@ whose inner loops run over the n rows; only the returned (n, d) batch is
 C-ordered. And the end cells of a discretized beta model have masses down
 to about 1e-11, so U^(1/theta) underflows on most lanes, and pow spends
 about 135 ns on each to return +0; ``_uniform_powers`` keeps such lanes off
-pow's slow path.
+pow's slow path, for GD and for TA's (1 - V)^n from sharpness 163 on.
 
 On a finite measure a term's weight and direction are both plain uniforms,
 so SN at alpha = 1 and TA take (b, 2, n) blocks (``_atom_series``): row
@@ -60,8 +60,18 @@ one term at a time, as angles are below, ran 1.08x slower at k = 200 and
 its lookups then take a term each. Every other case runs ``_series``, one
 term at a time: beta angles, as ``rng.beta`` takes a variable number of
 stream values; SN at alpha != 1, whose exponentials are drawn by ziggurat;
-and ``BDLM.from_sampler`` samplers, whose draws are unknown. DS sums one GD
-series per atom.
+and ``BDLM.from_sampler`` samplers, whose draws are unknown.
+
+DS sums one GD series per atom, and each atom keeps its few long (b, n)
+block calls. Where the atom's mass theta is under about 0.0069, as on most
+atoms of a 200-atom model and on about half of a beta(2,5) discretization
+at k = 100 to 200, most of its terms after the first are too small for the
+sum to see, and
+``sample_gd_batch`` screens them: one compare over a block finds the
+uniforms whose power can still change a sum, only those are raised, and
+the rest weigh 0 (the proof is in its docstring). Above that mass the
+screen costs more than the powers it saves: it doubled a beta(2,5) DS
+chunk at k = 20.
 
 On an angular measure (beta angles) the directions lie on the unit circle,
 and ``_series`` skips the summands that cannot change a bit of their row's
@@ -113,6 +123,12 @@ _DEFAULT_GD_TOL = 1e-12
 #: each such lane and the three mask calls about 1.4 ns a lane, so the two
 #: cost the same near 1%.
 _UNDERFLOW_SWITCH = 1e-2
+
+#: the GD screen's cut above which ``sample_gd_batch`` screens its terms:
+#: under a quarter of the lanes are then raised to the power. Screening
+#: every atom of a beta(2,5) DS chunk at k = 20, where most masses are above
+#: this, more than doubled its time (8.4 to 19.4 ms, one thread).
+_SCREEN_SWITCH = 0.75
 
 #: rows per chunk of a generated batch; each chunk has its own RNG substream.
 #: At 8192 rows one term's temporaries (64-128 KiB) stay in L2, and a NumPy
@@ -252,10 +268,35 @@ def sample_gd_batch(theta: float, tol: float, n: int, rng: np.random.Generator) 
     most ``tol``: the alpha = 1 shot-noise series of a unit point mass, its
     uniforms drawn in (b, n) blocks by ``_uniform_blocks`` and weighed by
     ``_unit_sn_weigher``.
+
+    Where theta is small the weigher screens the terms after the first: with
+    e = 1 / theta the exponent pow uses and cut = ``_screen_cut(e)``, at or
+    below 2^(-60 / e), a lane whose U_i < cut gets the weight 0 instead of
+    w_(i-1) * fl(U_i^e), and U_i^e is computed only for U_i >= cut. The sum
+    keeps every bit. Proof: U_i^e < 2^-60 exactly, so p = fl(U_i^e) <= 2^-55
+    with room for pow's error (a test checks the installed pow at the
+    float just below the cut). Every summand is >= 0, so the lane's sum S
+    before term i is a float >= w_(i-1), and the old weight
+    w_i = fl(w_(i-1) * p) <= fl(2^-55 * S) by monotone rounding; the later
+    weights never rise, and S never falls, so each later summand d has
+    d <= fl(2^-55 * S) as well. With 2^E <= S < 2^(E+1): if 2^(E-54) is a
+    float, d <= 2^(E-54), under half the gap 2^(E-52) above S, so S + d
+    rounds to S; if it is not, 2^-55 * S is under half the least subnormal,
+    so d = +0 and S + d = S. A zero sum has w_(i-1) = 0, hence w_i = +0 both
+    ways. The weight 0 leaves S as it is too, and stays 0, so the two sums
+    agree to the last bit. This needs summands >= 0 and holds for GD alone:
+    an SN sum over several atoms can cancel across terms, and its sum need
+    not exceed its weight.
+
+    The screen costs a compare over the block, and pays where the expected
+    share of lanes raised, 1 - cut, is under 1/4 (``_SCREEN_SWITCH``), that
+    is theta below about 0.0069: the small masses of a finite or
+    discretized measure.
     """
     _check_count("n", n)
-    weigh, out = _unit_sn_weigher(theta, n), np.zeros(n)
-    for block in _uniform_blocks(gd_truncation_terms(theta, tol), (n,), rng):
+    terms = gd_truncation_terms(theta, tol)
+    weigh, out = _unit_sn_weigher(theta, n, screen=True), np.zeros(n)
+    for block in _uniform_blocks(terms, (n,), rng):
         for w in weigh(block):
             out += w
     return out
@@ -395,40 +436,75 @@ def _epoch_weights(g, alpha, t_theta, out):
     return np.exp(np.negative(out, out=out), out=out)
 
 
-def _uniform_powers(u, t_theta, low):
-    """Raise the uniforms ``u`` to 1/t_theta in place and return them; ``low``
+def _uniform_powers(u, power, low):
+    """Raise the uniforms ``u`` to ``power`` in place and return them; ``low``
     is a bool scratch array of u's shape.
 
-    For U < cut = exp(-750 * t_theta) the exact U^(1/t_theta) is below
-    e^-750 < 2^-1082, under half the smallest subnormal, so pow rounds it to
-    +0 (a test checks that the installed pow does). Once cut, the share of
-    such lanes, passes ``_UNDERFLOW_SWITCH``, they are set to 1 before the
-    power and to 1 - 1 = +0 after it: the same bits, on pow's fast path."""
-    cut = math.exp(-750.0 * t_theta)
+    For U < cut = exp(-750 / power) the exact U^power is below e^-750 <
+    2^-1082, under half the smallest subnormal, so pow rounds it to +0 (a
+    test checks that the installed pow does). Once cut, the share of such
+    lanes, passes ``_UNDERFLOW_SWITCH``, they are set to 1 before the power
+    and to 1 - 1 = +0 after it: the same bits, on pow's fast path. The
+    power 0 of an infinite T * theta underflows nowhere."""
+    cut = math.exp(-750.0 / power) if power else 0.0
     if cut > _UNDERFLOW_SWITCH:
         np.less(u, cut, out=low)
         np.maximum(u, low, out=u)
-        u **= 1.0 / t_theta
+        u **= power
         np.subtract(u, low, out=u)
-    elif t_theta != 1.0:  # u **= 1.0 would copy u onto itself
-        u **= 1.0 / t_theta
+    elif power != 1.0:  # u **= 1.0 would copy u onto itself
+        u **= power
     return u
 
 
-def _unit_sn_weigher(t_theta, n):
+def _screen_cut(power):
+    """The GD screen's cut for uniforms raised to ``power``: a float at or
+    below 2^(-60 / power), so that U < cut has U^power < 2^-60 exactly.
+    2^-50 is 8 units in the last place of a cut in (1/2, 1], more than the
+    division and the power can round it up."""
+    return 2.0 ** (-60.0 / power) - 2.0 ** -50
+
+
+def _screened_powers(u, power, cut):
+    """Raise the uniforms ``u`` to ``power`` in place where U >= ``cut``,
+    write +0 where U < cut, and return them: the GD screen (see
+    ``sample_gd_batch``). One pass finds the lanes to raise, and only those
+    are gathered, raised and put back."""
+    live = np.flatnonzero(u >= cut)
+    p = u.take(live)
+    p **= power
+    u.fill(0.0)
+    u.put(live, p)
+    return u
+
+
+def _unit_sn_weigher(t_theta, n, screen=False):
     """The weigher that turns an (m, n) block of uniforms U, in place, into
     the alpha = 1 shot-noise weights of the next m terms, yielded in one (n,)
     buffer: the running product of U^(1/t_theta), carried across calls. It
     has the law of exp(-Gamma_i / t_theta) without exponentials, and never
     rises. A block of m < n lanes is weighed on the first m lanes of the
-    state (see ``_atom_series``)."""
-    w = np.ones(n)
+    state (see ``_atom_series``).
+
+    ``screen`` is for GD alone (see ``sample_gd_batch``): where the cut
+    ``_screen_cut`` passes ``_SCREEN_SWITCH``, every term after the first is
+    raised by ``_screened_powers``, whose zeros stand for weights that no
+    later sum can see."""
+    w, power = np.ones(n), 1.0 / t_theta
+    cut = _screen_cut(power) if screen else 0.0
+    plain = 1 if cut > _SCREEN_SWITCH else math.inf  # terms left to raise in full
 
     def weigh(u):
         # row by row: np.multiply.accumulate and np.add.accumulate along
         # axis 0 of a (6, 8192) block took ten times as long
-        live = w[:u.shape[1]]
-        for row in _uniform_powers(u, t_theta, np.empty(u.shape, dtype=bool)):
+        nonlocal plain
+        live, m = w[:u.shape[1]], min(len(u), plain)
+        plain -= m
+        if m:
+            _uniform_powers(u[:m], power, np.empty((m, u.shape[1]), dtype=bool))
+        if m < len(u):
+            _screened_powers(u[m:], power, cut)
+        for row in u:
             yield np.multiply(live, row, out=live)
     return weigh
 
@@ -448,12 +524,14 @@ def _epoch_weigher(alpha, t_theta, n):
 
 def _ta_weigh(u, alpha, npow):
     """Turn the uniforms ``u`` (V), in place, into the triangular-array
-    weights (1 - V^(1/alpha))^npow, and return them."""
+    weights (1 - V^(1/alpha))^npow, and return them. The last power goes
+    through ``_uniform_powers``: from sharpness 163 on, the lanes with
+    1 - V^(1/alpha) < e^(-750 / npow) are over 1% and kept off pow's slow
+    path."""
     if alpha != 1.0:  # u **= 1.0 would copy u onto itself
         u **= 1.0 / alpha
     np.subtract(1.0, u, out=u)
-    u **= npow
-    return u
+    return _uniform_powers(u, npow, np.empty(u.shape, dtype=bool))
 
 
 # --------------------------------------------------------------------------

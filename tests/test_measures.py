@@ -260,6 +260,53 @@ def test_finite_draws_at_cut_points_and_bucket_edges(masses):
                                   cdf.searchsorted(u, "right"))
 
 
+def _spread_atoms(r):
+    """r atoms with masses spread over three decades, so that some guide-table
+    buckets hold several cut points."""
+    rng = np.random.default_rng(r)
+    return mv.SpectralMeasure.from_angles(2 * np.pi * rng.random(r),
+                                          10.0 ** rng.uniform(-3.0, 0.0, r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 200, 5000])
+def test_lookup_is_searchsorted_at_every_cut_point_and_bucket_edge(r):
+    # the lookup settles a draw in a bucket without a cut point inside it from
+    # the table alone: uniforms on, and one ulp below, every cut point and
+    # every bucket edge b / M, and one ulp above each edge, where a wrong
+    # ``open`` flag or ``lo`` entry would show
+    atoms = _spread_atoms(r)._atom_sampler
+    cdf, m = atoms.cdf, atoms.buckets
+    edges = np.arange(m) / m
+    marks = np.concatenate([cdf, edges])
+    u = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(edges, 1.0),
+                        [1.0 - 2.0 ** -53], np.random.default_rng(r).random(1000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    np.testing.assert_array_equal(atoms.indices(u), cdf.searchsorted(u, "right"))
+    block = np.zeros((len(u), 2, 1))  # a strided view, as the series kernels pass
+    block[:, 1, 0] = u
+    np.testing.assert_array_equal(atoms.indices(block[:, 1])[:, 0],
+                                  cdf.searchsorted(u, "right"))
+    # the table by its definition: lo[b] counts the cut points <= b / M, and
+    # open[b] flags a cut point in (b / M, (b + 1) / M); the table is at least
+    # 64 r buckets up to its cap of 2^16, and never under the 4 r it had before
+    edges = np.arange(m + 1) / m
+    np.testing.assert_array_equal(atoms.lo, cdf.searchsorted(edges[:-1], "right"))
+    np.testing.assert_array_equal(atoms.open, cdf.searchsorted(edges[1:], "left") != atoms.lo)
+    assert np.count_nonzero(atoms.open) <= r
+    assert m >= max(4 * r, min(64 * r, 1 << 16)) and m & (m - 1) == 0
+
+
+@pytest.mark.parametrize("value, real, count", [
+    (2, True, True), (2.5, True, False), (True, False, False), (False, False, False),
+    (np.float64(2.5), True, False), (np.int64(2), True, True), (np.bool_(True), False, False),
+    (type("F", (float,), {})(1.5), True, False), ("2", False, False), (2j, False, False),
+    (None, False, False)])
+def test_number_checks(value, real, count):
+    # plain floats and ints pass on their type; the rest take the ABC check
+    assert mv.measures._is_real(value) is real
+    assert mv.measures._is_int(value) is count
+
+
 class TestJson:
     def test_finite_round_trip(self):
         sigma = mv.evenly_spaced_spectral(4, mass=2.0)

@@ -289,6 +289,19 @@ _GD_THETAS = {"1.0": 1.0, "0.005": 0.005, "3.7": 3.7, "2.0": 2.0, "0.5": 0.5,
               "masked-side-of-switch": 0.9 * _SWITCH_THETA,
               "unmasked-side-of-switch": 1.1 * _SWITCH_THETA}
 
+#: GD thetas around the screen of ``sample_gd_batch``, which raises only the
+#: uniforms at or above its cut from term 2 on where the cut passes 3/4
+#: (theta below about 0.0069): far below it, on either side of it, and above
+#: it. Below 1e-6 a tol of 1e-12 leaves one or two terms, so the tiny thetas
+#: also run at 1e-300, and at 1e-18 the cut rounds to within a few units of
+#: 1 in the last place.
+_SCREEN_THETAS = {"1e-11": (1e-11, 1e-12), "1e-3": (1e-3, 1e-12),
+                  "below-switch": (0.0069 - 1e-4, 1e-12),
+                  "above-switch": (0.0069 + 1e-4, 1e-12), "0.05": (0.05, 1e-12),
+                  "1": (1.0, 1e-12), "7": (7.0, 1e-12), "1e-11-tol1e-300": (1e-11, 1e-300),
+                  "1e-3-tol1e-300": (1e-3, 1e-300), "1e-18-tol1e-300": (1e-18, 1e-300)}
+_SCREEN_SIZES = [7, 8192, 10_000]
+
 #: the GD block holds one row per term up to ``_BLOCK`` elements: 1, a chunk
 #: tail, a chunk, 6 rows that do not divide theta = 1's 40 terms, and one row
 #: per block
@@ -373,7 +386,10 @@ class TestStreamsPinned:
     # end-cell masses down to 1.9e-11: nearly every GD lane underflows
     DS_MODELS = {"finite": MODELS["finite"],
                  "beta-k200": mv.discretize_angular(MODELS["beta"],
-                                                    mv.default_grid(200))}
+                                                    mv.default_grid(200)),
+                 # atoms on either side of the GD screen's switch
+                 "screen-masses": mv.SpectralMeasure.from_angles(
+                     np.arange(7.0), [1e-11, 1e-3, 0.0068, 0.007, 0.05, 1.0, 7.0])}
 
     @staticmethod
     def _same(run, ref, seed):
@@ -513,7 +529,11 @@ class TestStreamsPinned:
         pytest.param(bdlm.base_sampler, alpha, sharpness, n,
                      id=f"{model}-{alpha}-{sharpness}-n{n}")
         for model, bdlm in _ATOM_MODELS.items() for n in _ATOM_SIZES
-        for alpha, sharpness in _TA_ARRAYS])
+        for alpha, sharpness in _TA_ARRAYS] + [
+        # (1 - V)^n is masked from sharpness 163 on, where e^(-750 / n) > 1%
+        pytest.param(_ATOM_MODELS["r200"].base_sampler, alpha, sharpness, 8192,
+                     id=f"r200-{alpha}-{sharpness}-n8192")
+        for alpha, sharpness in [(1.0, 162), (1.0, 163), (1.0, 400), (0.5, 400)]])
     def test_ta(self, draw, alpha, sharpness, n):
         self._same(lambda r: mv.sample_ta_batch(alpha, draw, 1.3, sharpness, n, r),
                    lambda r: _loop_ta(alpha, draw, 1.3, sharpness, n, r), 12)
@@ -528,6 +548,34 @@ class TestStreamsPinned:
     def test_gd(self, theta, n):
         self._same(lambda r: mv.sample_gd_batch(theta, 1e-12, n, r),
                    lambda r: _loop_gd(theta, 1e-12, n, r), 13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta, tol, n", [
+        pytest.param(theta, tol, n, id=f"{key}-n{n}")
+        for key, (theta, tol) in _SCREEN_THETAS.items() for n in _SCREEN_SIZES])
+    def test_gd_screen(self, theta, tol, n):
+        self._same(lambda r: mv.sample_gd_batch(theta, tol, n, r),
+                   lambda r: _loop_gd(theta, tol, n, r), 29)
+
+    def test_gd_screens_small_masses(self, monkeypatch):
+        # a guard: on the 200 equal atoms of mass 0.005 each atom's GD series
+        # has 5 terms, and every term after the first must go through the
+        # screen, which raises under a quarter of its uniforms
+        screened, raised = [], []
+        screen = mv.samplers._screened_powers
+
+        def count(u, power, cut):
+            screened.append(u.size)
+            raised.append(np.count_nonzero(u >= cut))
+            return screen(u, power, cut)
+
+        monkeypatch.setattr(mv.samplers, "_screened_powers", count)
+        sigma, n = mv.evenly_spaced_spectral(200), mv.samplers._CHUNK
+        mv.sample_ds_batch(sigma, 1e-12, n, np.random.default_rng(30))
+        terms = mv.samplers.series_terms("DS", sigma, 0, 1e-12)
+        assert terms == 200 * 5
+        assert sum(screened) == (terms - 200) * n
+        assert sum(raised) < sum(screened) / 4
 
     @pytest.mark.parametrize("sigma, n", _sized(DS_MODELS, 500))
     def test_ds_is_gd_per_atom(self, sigma, n):
@@ -574,10 +622,11 @@ class TestFiniteChunkMemory:
 
 
 class TestPowUnderflowPremise:
-    """``_uniform_powers`` replaces U^(1/theta) by +0 for U < exp(-750 theta)
-    without computing it. That keeps the streams only if pow itself returns
-    +0 there (not -0, not a subnormal); a NumPy or libm that did otherwise
-    must fail here, not move a stream unseen."""
+    """``_uniform_powers`` replaces U^p by +0 for U < exp(-750 / p) without
+    computing it, for GD's p = 1 / theta and TA's sharpness p. That keeps
+    the streams only if pow itself returns +0 there (not -0, not a
+    subnormal); a NumPy or libm that did otherwise must fail here, not move
+    a stream unseen."""
 
     def test_power_below_cut_is_plus_zero(self):
         rng = np.random.default_rng(16)
@@ -589,6 +638,39 @@ class TestPowUnderflowPremise:
             x = x[(x < cut) | (x == 0.0)]
             y = x ** (1.0 / theta)
             assert np.all(y == 0.0) and not np.signbit(y).any(), theta
+
+    @pytest.mark.parametrize("sharpness", np.geomspace(163.0, 1e4, 60).tolist() + [163.0])
+    def test_ta_power_below_cut_is_plus_zero(self, sharpness):
+        # TA raises 1 - V^(1/alpha) to its sharpness through the same mask
+        cut = math.exp(-750.0 / sharpness)
+        x = np.concatenate([[0.0, 5e-324, np.nextafter(cut, 0.0)],
+                            cut * np.random.default_rng(31).random(253)])
+        y = x[x < cut] ** sharpness
+        assert np.all(y == 0.0) and not np.signbit(y).any(), sharpness
+
+
+class TestGdScreenPremise:
+    """``sample_gd_batch`` writes 0 for the powers U^e, e = 1 / theta, of the
+    uniforms U below its cut, from the second term on. That keeps the streams
+    only if pow returns at most 2^-55 there (the exact value is under
+    2^-60), so that the proof of ``sample_gd_batch`` holds; a pow that was
+    off by more, or a cut rounded above 2^(-60 / e), must fail here."""
+
+    @pytest.mark.parametrize("theta", np.geomspace(1e-12, 0.0069, 300).tolist()
+                             + [1e-300, 1e-100, 1e-30, 1e-18, 3e-18, 1e-17, 1e-16, 1e-15])
+    def test_power_below_cut_is_tiny(self, theta):
+        power = 1.0 / theta
+        cut = mv.samplers._screen_cut(power)
+        assert cut > mv.samplers._SCREEN_SWITCH
+        x = np.concatenate([[np.nextafter(cut, 0.0)],
+                            cut * np.random.default_rng(32).random(255)])
+        assert (x ** power <= 2.0 ** -55).all(), theta
+
+    def test_switch_is_near_theta_0_0069(self):
+        # the screen runs below theta = log2(4/3) / 60 = 0.0069 and not above
+        edge = math.log2(4.0 / 3.0) / 60.0
+        assert mv.samplers._screen_cut(1.0 / (0.999 * edge)) > mv.samplers._SCREEN_SWITCH
+        assert mv.samplers._screen_cut(1.0 / (1.001 * edge)) < mv.samplers._SCREEN_SWITCH
 
 
 class TestSettledLanePremise:
@@ -621,7 +703,8 @@ class TestSettledLanePremise:
     def test_weights_never_rise(self, t_theta):
         u = np.concatenate([[np.nextafter(1.0, 0.0), 0.0, 5e-324],
                             np.random.default_rng(24).random(2000)])
-        p = mv.samplers._uniform_powers(u.copy(), t_theta, np.empty(u.shape, dtype=bool))
+        p = mv.samplers._uniform_powers(u.copy(), 1.0 / t_theta,
+                                        np.empty(u.shape, dtype=bool))
         assert (p <= 1.0).all() and (p >= 0.0).all()
 
 
