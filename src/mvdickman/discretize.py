@@ -4,7 +4,7 @@ A measure with angular density f is replaced by atoms a_i * delta_{s_i},
 where a_i is the cell mass over [d_{i-1}, d_i) and s_i the direction of a
 representative angle phi_i inside the cell. Beta models get their cell masses
 in closed form from the regularized incomplete beta function; any other
-density is integrated cell by cell. Total mass is preserved, and the
+density goes to one Gauss-Legendre quadrature. Total mass is preserved, and the
 approximating MD laws converge weakly to the target as the grid refines.
 """
 
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .measures import ANGULAR, TWO_PI, SpectralMeasure, _check_count, _lock
-from .moments import _quadpack
+from .measures import ANGULAR, TWO_PI, SpectralMeasure, _check_count, _lock, _real_array
+from .moments import _gauss_legendre_integrals
 
 _MASS_TOL = 1e-9
 
@@ -30,15 +30,15 @@ class DiscretizationGrid:
     angles: np.ndarray
 
     def __post_init__(self):
-        cuts = np.asarray(self.cuts, dtype=float).reshape(-1)
-        angles = np.asarray(self.angles, dtype=float).reshape(-1)
+        cuts = _real_array("cuts", self.cuts).reshape(-1)
+        angles = _real_array("angles", self.angles).reshape(-1)
         if len(cuts) < 2 or len(angles) != len(cuts) - 1:
             raise ValidationError("grid needs k+1 cut points and k representative angles")
         if abs(cuts[0]) > 1e-15 or abs(cuts[-1] - TWO_PI) > 1e-12:
             raise ValidationError("cut points must start at 0 and end at 2*pi")
         if not np.all(np.diff(cuts) > 0):
             raise ValidationError("cut points must be strictly increasing")
-        if np.any(angles < cuts[:-1]) or np.any(angles >= cuts[1:]):
+        if not (np.all(angles >= cuts[:-1]) and np.all(angles < cuts[1:])):  # NaN fails
             raise ValidationError("each representative must satisfy d_{i-1} <= phi_i < d_i")
         for name, value in (("cuts", cuts), ("angles", angles)):
             object.__setattr__(self, name, _lock(value))
@@ -74,26 +74,22 @@ def discretize_angular(sigma: SpectralMeasure,
     directions are (cos phi_i, sin phi_i). A beta model (``sigma.beta_params``
     set) gets a_i = theta * (I_{d_i/2pi}(a, b) - I_{d_{i-1}/2pi}(a, b)) from the
     regularized incomplete beta function, without evaluating the density; any
-    other density is integrated per cell by adaptive quadrature (epsabs 1e-12
-    per cell, and the summed error estimates must stay within
-    1e-10 * max(1, k/4)). Cells with zero mass are dropped so downstream GD
+    other density is integrated on all cells at once by the Gauss-Legendre
+    engine of ``md_moments`` (its summed error estimates must stay within
+    1e-10). Cells with zero mass are dropped so downstream GD
     samplers never see a zero rate. Raises if the summed atom mass drifts
     from the total mass by more than 1e-9.
 
-    A cell with pi strictly inside it is integrated as two panels split at
-    pi, as ``integrate_angular`` does, so no single QUADPACK call holds both
-    ends of [0, 2*pi] (where a wrapped beta density is singular). Known
-    limit: the per-cell quadrature has no rule for an integrable endpoint
-    singularity, so a strong one (the beta(0.05, 0.05) density wrapped as a
-    plain angular density) misses the error budget and raises
-    QuadratureError.
+    Known limit: near 2*pi the nodes round to floats 8.9e-16 apart, so a
+    strong singularity there (as in the beta(0.05, 0.05) density wrapped
+    without ``beta_params``) misses the budget and raises QuadratureError.
     """
     if sigma.variant != ANGULAR:
         raise ValidationError("discretize_angular needs an angular-density measure")
     if sigma.beta_params is not None:
         masses = _beta_cell_masses(*sigma.beta_params, sigma.mass, grid.cuts)
     else:
-        masses = _quadrature_cell_masses(sigma.density, grid)
+        masses = _gauss_legendre_integrals(sigma.density, grid.cuts)[2:4].sum(axis=0)
     total = masses.sum()
     if abs(total - sigma.mass) > _MASS_TOL:
         raise QuadratureError(
@@ -123,24 +119,6 @@ def _beta_cell_masses(a: float, b: float, theta: float,
     lower = betainc(a, b, x)
     upper = betainc(b, a, x_up)
     return theta * np.where(lower[:-1] < 0.5, np.diff(lower), -np.diff(upper))
-
-
-def _quadrature_cell_masses(density, grid: DiscretizationGrid) -> np.ndarray:
-    masses = np.empty(grid.k)
-    err_total = 0.0
-    with _quadpack() as quad:
-        for i, (lo, hi) in enumerate(zip(grid.cuts[:-1], grid.cuts[1:])):
-            panels = ((lo, np.pi), (np.pi, hi)) if lo < np.pi < hi else ((lo, hi),)
-            masses[i] = 0.0
-            for a, b in panels:
-                v, e = quad(density, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
-                masses[i] += v
-                err_total += e
-    if err_total > 1e-10 * max(1.0, grid.k / 4):
-        raise QuadratureError(
-            f"cell-mass quadrature reached abs error {err_total:.3e}",
-            achieved=err_total)
-    return masses
 
 
 def discretized_moment_error(sigma: SpectralMeasure, k: int,

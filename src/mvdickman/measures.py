@@ -303,9 +303,9 @@ class SpectralMeasure:
         ``angle_sampler(rng, n)`` draws angles from the normalized density and
         is required by the simulation methods (not by moment computations).
         """
-        from .moments import integrate_angular  # deferred: avoids import cycle
+        from .moments import _gauss_legendre_integrals  # deferred: avoids import cycle
 
-        quad_mass = integrate_angular(lambda x: np.ones_like(x), density)
+        quad_mass = float(_gauss_legendre_integrals(density)[2:4, 0].sum())
         sigma = cls(variant=ANGULAR, dim=2, mass=quad_mass if mass is None else mass,
                     density=density, angle_sampler=angle_sampler)
         if not abs(quad_mass - sigma.mass) <= _MASS_CHECK_TOL:

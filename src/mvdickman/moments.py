@@ -10,10 +10,10 @@ For sphere-supported nu the tail mass and radial moments of M_alpha reduce to
 closed forms in theta alone; for general finite-support nu they are exact
 finite sums over incomplete-gamma inner integrals.
 
-The angular integrals of a beta model come from Gauss rules that NumPy builds
-(Golub & Welsch): the Gauss-Jacobi rule of the shape when it is singular at an
-end, adaptive Gauss-Legendre on the density otherwise. Only a density with no
-known form goes to QUADPACK, through ``integrate_angular``.
+The angular integrals come from Gauss rules that NumPy builds (Golub &
+Welsch): the Gauss-Jacobi rule of a beta shape singular at an end, and one
+adaptive Gauss-Legendre engine for every other density, which also serves
+``SpectralMeasure.angular`` and ``discretize_angular``.
 
 The moment formulas are the first two derivatives of the cumulant generating
 function i<gamma, z> + int int_0^1 (e^{i r <z, y>} - 1)(-log r)^(alpha-1)
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,56 +103,6 @@ class MomentSummary:
 # quadrature against an angular density
 # --------------------------------------------------------------------------
 
-@contextmanager
-def _quadpack():
-    """Yield ``scipy.integrate.quad`` with its IntegrationWarning silenced.
-
-    Every QUADPACK call of the package imports ``scipy.integrate`` here, on
-    first use, so that importing the package, running a finite model or
-    taking a beta model's moments never loads it. Callers check QUADPACK's
-    error estimates themselves. One block should cover all of a function's
-    ``quad`` calls, since each warnings filter costs a few microseconds.
-    """
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        yield integrate.quad
-
-
-def integrate_angular(g, density, tol: float = _QUAD_TOL) -> float:
-    """Integrate g(phi) * density(phi) over [0, 2*pi) to absolute tolerance.
-
-    Adaptive Gauss-Kronrod (QUADPACK's QAGS) on the panels [0, pi] and
-    [pi, 2*pi], for densities with no known form. Its extrapolation copes
-    with a bounded density or a mild endpoint singularity, but on a strong
-    one, such as the beta(0.05, 0.05) density, its error estimate misses the
-    tolerance. Beta models do not come here: ``md_moments`` takes them by
-    Gauss rules (``_gauss_legendre_integrals``, ``_gauss_jacobi_integrals``).
-    Raises QuadratureError with the achieved error estimate if the tolerance
-    is not met.
-    """
-    total = 0.0
-    err = 0.0
-    with _quadpack() as quad:
-        for lo, hi in ((0.0, math.pi), (math.pi, TWO_PI)):
-            v, e = quad(lambda x: g(x) * density(x), lo, hi,
-                        epsabs=tol / 4, epsrel=1e-12, limit=400)
-            total += v
-            err += e
-    if not err <= tol:  # a NaN estimate fails too
-        raise QuadratureError(
-            f"angular quadrature reached abs error {err:.3e} > {tol:.1e}",
-            achieved=err)
-    return total
-
-
-#: the integrands (cos, sin, cos^2, sin^2, cos*sin) of the angular moments
-_ANGULAR_FNS = (np.cos, np.sin,
-                lambda x: np.cos(x) ** 2,
-                lambda x: np.sin(x) ** 2,
-                lambda x: np.cos(x) * np.sin(x))
-
 #: orders of the two Gauss rules whose difference is the error estimate
 _GAUSS_ORDERS = (12, 24)
 #: Gauss-Legendre pieces are refined until their estimates sum to about this
@@ -166,8 +114,12 @@ _GOAL_SHARE = 1e-4
 #: rounding of the density values lets it be: at (1000, 1000) they are up to
 #: 2200 ulps off, from their log-space form, and no estimate meets the goal
 _ROUNDING_FLOOR = 1e3 * np.finfo(float).eps
-#: bisection rounds; by then a piece is narrower than the float spacing at pi
-_MAX_ROUNDS = 60
+#: caps on the rounds and on the pieces open beyond the first ones, past
+#: which a density raises rather than loops or fills memory
+_MAX_ROUNDS = 64
+_MAX_OPEN = 1 << 12
+#: an end may close once its estimate is within this share of the budget
+_END_SHARE = 0.25
 
 
 def _gauss_beta(a: float, b: float, n: int):
@@ -214,48 +166,121 @@ def _moment_integrands(phi):
     return np.stack((c, s, c * c, s * s, c * s))
 
 
-def _gauss_legendre_integrals(density, tol: float = _QUAD_TOL) -> np.ndarray:
-    """The five angular integrals of a bounded density on [0, 2*pi).
+def _wynn_epsilon(sums: np.ndarray):
+    """Wynn's epsilon algorithm (Wynn 1956) on the partial sums ``sums``, a
+    row each: per column, the limit and its estimate. As in QUADPACK's QELG,
+    each even column's newest entry is scored by its distance to the two
+    above it, and the lowest score wins."""
+    best = sums[-1]
+    best_err = np.abs(best - sums[-2]) + np.abs(best - sums[-3])
+    prev, cur = np.zeros((len(sums) + 1, sums.shape[1])), sums
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(1, len(sums) - 2):
+            prev, cur = cur, prev[1:-1] + 1.0 / np.diff(cur, axis=0)
+            err = np.abs(cur[-1] - cur[-2]) + np.abs(cur[-1] - cur[-3])
+            better = (col % 2 == 0) & (err < best_err)  # never an inf or NaN
+            best, best_err = np.where(better, cur[-1], best), np.where(better, err, best_err)
+    return best, best_err
 
-    Adaptive bisection of [0, pi] and [pi, 2*pi] with the Gauss-Legendre
-    pair of ``_legendre_pair`` on each piece. Each round evaluates
-    ``density`` once, on the nodes of all the pieces still open, and the
-    five integrands share those values and one cos and sin. A piece's error
-    estimate is the largest difference between its two orders. A piece is
-    closed once its estimate is at most goal / (number of pieces), with goal
-    = ``_GOAL_SHARE`` * tol, or at most ``_ROUNDING_FLOOR`` times its mass;
-    the others are halved. The summed estimate of the closed pieces must be
-    <= tol, or QuadratureError is raised.
+
+def _end_tail(sums: list, noise: list, limits: list, errs: list, goal: float, tol: float):
+    """(the integral over an end piece less its rings, its estimate) once the
+    end may close, else None; ``limits`` and ``errs`` gain this round's. The
+    estimate adds to Wynn's the jitter of the last three limits, the rings'
+    node noise, the last ring's times the gain (1 + rho) / (1 - rho)^2 and
+    8 ulps. The best limit so far closes the end once it meets the goal, or
+    is within ``_END_SHARE`` * tol and two rounds have not bettered it."""
+    s = np.array(sums)
+    limit, limit_err = _wynn_epsilon(s)
+    ring = np.diff(s[-4:, 2] + s[-4:, 3])  # the masses of the last three rings
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = max(ring[1] / ring[0], ring[2] / ring[1])
+    err = math.inf
+    if len(limits) >= 2 and 0.0 < rho < 1.0:
+        jitter = np.abs(limit - limits[-1]) + np.abs(limit - limits[-2])
+        gain = (1.0 + rho) / (1.0 - rho) ** 2
+        err = (np.maximum(limit_err, jitter).max() + sum(noise) + gain * noise[-1]
+               + 8 * np.finfo(float).eps * np.abs(limit).max())
+    limits.append(limit)
+    errs.append(err)
+    best = int(np.argmin(errs))
+    if errs[best] <= goal or (errs[best] <= _END_SHARE * tol and len(errs) - best > 2):
+        return limits[best] - s[-1], errs[best]
+    return None
+
+
+def _gauss_legendre_integrals(density, cuts=(0.0, TWO_PI),
+                              tol: float = _QUAD_TOL) -> np.ndarray:
+    """The five angular integrals of ``density`` on each cell [cuts[i],
+    cuts[i+1]), as a (5, k) array; the end cuts count as exactly 0 and 2*pi.
+
+    Adaptive bisection with the Gauss-Legendre pair of ``_legendre_pair``
+    from the cells, split at pi. Each round evaluates ``density`` once, on
+    the nodes of all the pieces still open, and the five integrands share
+    those values and one cos and sin. A piece's estimate is the largest
+    difference between its two orders; it closes at most goal / (number of
+    pieces), with goal = ``_GOAL_SHARE`` * tol, or at most ``_ROUNDING_FLOOR``
+    times its mass plus its node noise, ulp(x) / (2 width) times its mass,
+    as a density singular next to it moves so when its nodes x round. The
+    others are halved, an end piece at 0 or 2*pi into the end and a ring (a
+    graded mesh: Schwab, p- and hp-FEM, 1998, ch. 3); at a singularity like
+    d^(s-1) the rings shrink by a factor rho, and ``_end_tail`` extrapolates
+    their sums. The summed estimate of the closed pieces must be <= tol, or
+    QuadratureError is raised; so it is past ``_MAX_ROUNDS`` rounds or
+    ``_MAX_OPEN`` open pieces beyond the first ones.
     """
     nodes, weights = _legendre_pair()
     goal = _GOAL_SHARE * tol
-    lo = np.array([0.0, math.pi])
-    width = np.array([math.pi, math.pi])
-    total = np.zeros(5)
+    cuts = np.array(cuts, dtype=float)
+    cuts[0], cuts[-1] = 0.0, TWO_PI
+    k = len(cuts) - 1
+    edges = np.union1d(cuts, math.pi)  # the cells, the one holding pi split there
+    lo, width = edges[:-1], edges[1:] - edges[:-1]
+    cell = np.searchsorted(cuts, lo, "right") - 1
+    # pieces stay in order: an open end is the first or last, its ring next
+    ends = {(0, 1): ([np.zeros(5)], [], [], []), (-1, -2): ([np.zeros(5)], [], [], [])}
+    total = np.zeros((k, 5))
     err, n_closed = 0.0, 0
-    for _ in range(_MAX_ROUNDS):
+    for rounds in range(_MAX_ROUNDS):
         phi = lo[:, None] + width[:, None] * nodes
         f = density(phi)
-        pair = (_moment_integrands(phi) * f) @ weights * width[:, None]
-        est = np.abs(pair[..., 1] - pair[..., 0]).max(axis=0)
-        # the floor scales the piece's mass, its cos^2 plus sin^2 integral;
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 weight
+            pair = (_moment_integrands(phi) * f) @ weights * width[:, None]
+            est = np.abs(pair[..., 1] - pair[..., 0]).max(axis=0)
+        value = pair[..., 1]
         # a NaN estimate closes its piece, so that err is NaN
-        floor = _ROUNDING_FLOOR * (pair[2, :, 1] + pair[3, :, 1])
-        close = ~((est > goal / (n_closed + len(est))) & (est > floor))
-        total += pair[:, close, 1].sum(axis=1)
-        err += est[close].sum()
-        n_closed += int(close.sum())
-        if close.all():
+        close = ~(est > goal / (n_closed + len(est)))
+        if not close.all():
+            mass = value[2] + value[3]  # the cos^2 plus sin^2 integral
+            node_noise = 0.5 * np.spacing(lo + width) / width * np.abs(mass)
+            close |= ~(est > _ROUNDING_FLOOR * mass + node_noise)
+            for (end, ring), (sums, noise, *history) in list(ends.items()):
+                if rounds:
+                    sums.append(sums[-1] + value[:, ring])
+                    noise.append(node_noise[ring])
+                if not close[end] and len(sums) > 3:  # three rings give rho
+                    tail = _end_tail(sums, noise, *history, goal, tol)
+                    if tail is not None:
+                        value[:, end], est[end] = tail
+                        close[end] = True
+                if close[end]:
+                    del ends[end, ring]
+        closed = np.flatnonzero(close)
+        np.add.at(total, cell[closed], value[:, closed].T)
+        err += est[closed].sum()
+        n_closed += len(closed)
+        if len(closed) == len(est) or 2 * (len(est) - len(closed)) > k + 1 + _MAX_OPEN:
             break
-        lo, width = lo[~close], 0.5 * width[~close]
-        lo, width = np.concatenate((lo, lo + width)), np.concatenate((width, width))
-    else:
+        lo, width, cell = lo[~close], 0.5 * width[~close], cell[~close]
+        lo = np.column_stack((lo, lo + width)).ravel()  # halves stay in order
+        width, cell = np.repeat(width, 2), np.repeat(cell, 2)
+    if len(closed) < len(est):
         err = math.inf  # pieces were left open
     if not err <= tol:  # a NaN estimate fails too
         raise QuadratureError(
             f"Gauss-Legendre moment quadrature reached abs error {err:.3e} > {tol:.1e}",
             achieved=err)
-    return total
+    return total.T
 
 
 def _gauss_jacobi_integrals(a: float, b: float, tol: float = _QUAD_TOL) -> np.ndarray:
@@ -290,8 +315,8 @@ def _integrals(sigma: SpectralMeasure):
 
     Exact sums for finite support. For an angular measure: on beta shapes
     with min(a, b) < 1, where the density is singular at an end, the
-    Gauss-Jacobi rule of the shape; on other beta shapes, adaptive
-    Gauss-Legendre on the density; on any other density, Gauss-Kronrod.
+    Gauss-Jacobi rule of the shape; on any other density, beta or not,
+    ``_gauss_legendre_integrals``.
     The cos^2 and sin^2 integrals must add up to the mass within 1e-8, which
     catches a density that underflowed to 0. A beta model's integrals are
     then scaled by mass / (that sum), so that the rule normalizes the
@@ -300,12 +325,10 @@ def _integrals(sigma: SpectralMeasure):
     """
     if sigma.variant == FINITE:
         return _atom_sums(sigma.directions, sigma.masses)
-    if sigma.beta_params is None:
-        values = np.array([integrate_angular(g, sigma.density) for g in _ANGULAR_FNS])
-    elif min(sigma.beta_params) < 1.0:
+    if sigma.beta_params is not None and min(sigma.beta_params) < 1.0:
         values = sigma.mass * _gauss_jacobi_integrals(*sigma.beta_params)
     else:
-        values = _gauss_legendre_integrals(sigma.density)
+        values = _gauss_legendre_integrals(sigma.density)[:, 0]
     mass = values[2] + values[3]
     gap = abs(mass - sigma.mass)
     if not gap <= _MASS_CHECK_TOL:
@@ -360,9 +383,8 @@ def md_moments(sigma: SpectralMeasure) -> MomentSummary:
         E[X] = integral of s dsigma,  cov(X) = 1/2 integral of s s^T dsigma.
 
     Exact sums for finite support; for bivariate densities, quadrature to an
-    absolute 1e-10 per integral: by Gauss rules on beta shapes (see
-    ``_integrals``), by Gauss-Kronrod on any other density. For a sigma
-    known only through a sampler, use ``lstar_moments`` on
+    absolute 1e-10 per integral by Gauss rules (see ``_integrals``). For a
+    sigma known only through a sampler, use ``lstar_moments`` on
     ``BDLM.from_sampler`` with its moment data.
     """
     first, second = _integrals(sigma)
@@ -431,7 +453,7 @@ def malpha_radial_moment(params: LStarParams, p: float, region: str) -> float:
 
 __all__ = [
     "MomentSummary", "INSIDE", "OUTSIDE",
-    "integrate_angular", "bdlm_integrals",
+    "bdlm_integrals",
     "lstar_moments", "md_moments",
     "malpha_tail_mass", "malpha_radial_moment",
 ]

@@ -75,7 +75,7 @@ def _check_discretization(seed, _n):
 
 
 def _check_tail_mass(seed, _n):
-    from scipy import integrate  # an independent reference, not _quadpack
+    from scipy import integrate  # the one use in the package: an independent reference
 
     sigma = SpectralMeasure.from_angles([0.0], [1.0])
     params = md_from_spectral(sigma)

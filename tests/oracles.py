@@ -1,12 +1,14 @@
 """Independent numeric oracles shared by the test modules.
 
-These integrate the defining radial form of the mixed Levy measure directly
+Most integrate the defining radial form of the mixed Levy measure directly
 in r-space, staying independent of the incomplete-gamma closed forms they
-are used to check.
+are used to check; ``hyp1f1_moments`` gives the moments of a beta model from
+its characteristic function, independent of any quadrature.
 """
 
 import warnings
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -54,3 +56,15 @@ def radial_moment_quadrature(points, weights, alpha, p, region):
             lambda r: (radius * r) ** p * (-np.log(r)) ** (alpha - 1.0) / r,
             lo, hi)
     return total
+
+
+def hyp1f1_moments(a, b, mass):
+    """Mean and covariance of MD(mass * Beta(a, b) angle) from the
+    characteristic function E exp(i m phi) = 1F1(a; a + b; 2 pi i m), m = 1, 2,
+    evaluated by mpmath at 40 digits; independent of any quadrature."""
+    with mpmath.workdps(40):
+        p1, p2 = (mass * mpmath.hyp1f1(a, a + b, 2j * m * mpmath.pi) for m in (1, 2))
+        c, s = float(p1.real), float(p1.imag)
+        c2, s2 = float((mass + p2.real) / 2), float((mass - p2.real) / 2)
+        cs = float(p2.imag / 2)
+    return np.array([c, s]), 0.5 * np.array([[c2, cs], [cs, s2]])

@@ -8,6 +8,7 @@ import pytest
 import mvdickman as mv
 from mvdickman.discretize import discretized_moment_error
 from mvdickman.errors import QuadratureError, ValidationError
+from oracles import hyp1f1_moments
 
 TWO_PI = 2 * np.pi
 
@@ -45,6 +46,15 @@ class TestDefaultGrid:
             mv.DiscretizationGrid(cuts=[0.0, 2.0, 1.0, TWO_PI], angles=[0.0, 1.0, 1.5])
         with pytest.raises(ValidationError):
             mv.DiscretizationGrid(cuts=[0.0, np.pi, TWO_PI], angles=[0.0, np.pi / 2])
+
+    @pytest.mark.parametrize("cuts, angles", [
+        ([0.0, TWO_PI], [math.nan]), ([0.0, math.nan, TWO_PI], [0.0, 1.0]),
+        ([0.0, math.inf, TWO_PI], [0.0, 1.0]), ([0.0, "x", TWO_PI], [0.0, 1.0]),
+        ([0.0, True, TWO_PI], [0.0, 2.0]), ([0.0, TWO_PI], [None]),
+    ], ids=["nan-angle", "nan-cut", "inf-cut", "str-cut", "bool-cut", "none-angle"])
+    def test_entries_must_be_finite_reals(self, cuts, angles):
+        with pytest.raises(ValidationError):
+            mv.DiscretizationGrid(cuts=cuts, angles=angles)
 
 
 class TestDiscretizeAngular:
@@ -175,6 +185,41 @@ class TestBetaCellMasses:
                                    mv.discretize_angular(by_quadrature, grid).masses,
                                    rtol=0, atol=1e-11)
 
+    @pytest.mark.parametrize("ab", [s for s in BETA_SHAPES if s != (0.05, 0.05)])
+    def test_generic_md_moments_match_hyp1f1(self, ab):
+        sigma = mv.SpectralMeasure.angular(mv.SpectralMeasure.beta(*ab).density, mass=1.0)
+        s = mv.md_moments(sigma)
+        mean, cov = hyp1f1_moments(*ab, 1.0)
+        np.testing.assert_allclose(s.mean, mean, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(s.cov, cov, rtol=0, atol=1e-11)
+
+    # near 2*pi the nodes are 8.9e-16 apart, and beta(0.05, 0.05) holds 8% of
+    # its mass within one such spacing of 2*pi: each generic path must either
+    # raise or meet its budget, never understate its error
+    @pytest.mark.parametrize("k", [1, 7, 10, 50, 200])
+    def test_strong_endpoint_singularity_never_understated(self, k):
+        beta = mv.SpectralMeasure.beta(0.05, 0.05)
+        wrapped = dataclasses.replace(beta, beta_params=None)
+        try:
+            mass = mv.SpectralMeasure.angular(beta.density).mass
+            assert abs(mass - 1.0) <= 1e-10
+        except QuadratureError:
+            pass
+        try:
+            s = mv.md_moments(wrapped)
+            truth = mv.md_moments(beta)  # the Gauss-Jacobi rule
+            np.testing.assert_allclose(s.mean, truth.mean, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(s.cov, truth.cov, rtol=0, atol=1e-10)
+        except QuadratureError:
+            pass
+        grid = mv.default_grid(k)
+        try:
+            masses = mv.discretize_angular(wrapped, grid).masses
+            np.testing.assert_allclose(masses, mv.discretize_angular(beta, grid).masses,
+                                       rtol=0, atol=1e-10)
+        except QuadratureError:
+            pass
+
     @pytest.mark.parametrize("k", [10, 50, 200])
     def test_strong_endpoint_singularity_discretizes(self, k):
         sigma = mv.SpectralMeasure.beta(0.05, 0.05)
@@ -182,17 +227,21 @@ class TestBetaCellMasses:
         sig_k = mv.discretize_angular(sigma, grid)
         assert len(sig_k.masses) == k
         assert abs(math.fsum(sig_k.masses) - sigma.mass) <= 1e-12
-        # per-cell quadrature misses its error budget on this shape
+        # the generic path misses its error budget on this shape
         with pytest.raises(QuadratureError):
             mv.discretize_angular(dataclasses.replace(sigma, beta_params=None), grid)
 
     @pytest.mark.parametrize("inner", [[], [np.pi]])
     def test_end_cuts_count_as_exactly_zero_and_two_pi(self, inner):
         # the grid accepts end cuts up to 1e-15 and 1e-12 off; beta(0.05, 0.05)
-        # holds about 8% of its mass within 1e-13 of either end
+        # holds about 8% of its mass within 1e-13 of either end, and the
+        # beta(0.5, 0.5) density, which the generic path resolves, 2.4e-7
         cuts = np.array([9e-16, *inner, TWO_PI - 9e-13])
         grid = mv.DiscretizationGrid(cuts=cuts, angles=cuts[:-1])
         sig_k = mv.discretize_angular(mv.SpectralMeasure.beta(0.05, 0.05), grid)
+        assert abs(math.fsum(sig_k.masses) - 1.0) <= 1e-12
+        wrapped = dataclasses.replace(mv.SpectralMeasure.beta(0.5, 0.5), beta_params=None)
+        sig_k = mv.discretize_angular(wrapped, grid)
         assert abs(math.fsum(sig_k.masses) - 1.0) <= 1e-12
 
     def test_density_is_never_evaluated(self):

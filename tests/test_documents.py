@@ -14,6 +14,7 @@ import mvdickman as mv
 from mvdickman.errors import ConfigurationError, ValidationError
 
 PACKAGE_ERRORS = (ValidationError, ConfigurationError)
+TWO_PI = 2 * math.pi
 
 #: values of the wrong JSON type for any numeric, list or string field
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
@@ -376,6 +377,10 @@ ARRAY_ARGS = {
     "BDLM.from_atoms weights": lambda v: mv.BDLM.from_atoms([[1.0]], [v]).weights,
     "BDLM weights": lambda v: mv.BDLM(1.0, 1, None, points=[[1.0]], weights=[v]).weights,
     "angle_to_direction": lambda v: mv.angle_to_direction([v]),
+    "DiscretizationGrid cuts": lambda v: mv.DiscretizationGrid(
+        cuts=[0, v, TWO_PI], angles=[0, 2]).cuts,
+    "DiscretizationGrid angles": lambda v: mv.DiscretizationGrid(
+        cuts=[0, TWO_PI], angles=[v]).angles,
     "SpectralMeasure.from_angles angles, mixed": lambda v: mv.SpectralMeasure.from_angles(
         [0.0, v], [1.0, 1.0]).directions,
     "SpectralMeasure.from_angles masses, mixed": lambda v: mv.SpectralMeasure.from_angles(
@@ -387,6 +392,10 @@ ARRAY_ARGS = {
     "BDLM.from_atoms weights, mixed": lambda v: mv.BDLM.from_atoms(
         [[1.0], [2.0]], [1.0, v]).weights,
     "angle_to_direction, mixed": lambda v: mv.angle_to_direction([0.0, v]),
+    "DiscretizationGrid cuts, mixed": lambda v: mv.DiscretizationGrid(
+        cuts=[0.0, 0.5, v, TWO_PI], angles=[0.0, 0.5, 2.0]).cuts,
+    "DiscretizationGrid angles, mixed": lambda v: mv.DiscretizationGrid(
+        cuts=[0.0, 0.5, TWO_PI], angles=[0.0, v]).angles,
     "LStarParams gamma": lambda v: mv.LStarParams(
         1.0, mv.gd_params(1.0).bdlm, gamma=[v]).gamma,
     "LStarParams gamma, mixed": lambda v: mv.LStarParams(

@@ -1,5 +1,6 @@
-"""SciPy is loaded only by the code that runs a QUADPACK quadrature or a
-special function, and no warning of the package's quadratures escapes it."""
+"""SciPy is loaded only by the code that runs a special function, and no
+warning of the package's quadratures escapes it. The package's quadrature is
+its own Gauss rules, so no path of it loads ``scipy.integrate``."""
 
 import json
 import os
@@ -55,6 +56,16 @@ class TestImportPolicy:
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
 
+    def test_generic_density_loads_no_scipy(self):
+        # SpectralMeasure.angular's mass, md_moments and the cell masses of
+        # discretize_angular all take the Gauss-Legendre engine
+        assert _scipy_modules_after(
+            "import numpy as np\n"
+            "sigma = mv.SpectralMeasure.angular(\n"
+            "    lambda x: (1 + np.cos(x)) / (2 * np.pi), mass=1.0)\n"
+            "mv.md_moments(sigma)\n"
+            "mv.discretize_angular(sigma, mv.default_grid(7))") == set()
+
 
 def _beta_density(a, b):
     return mv.SpectralMeasure.beta(a, b, 1.0).density
@@ -66,11 +77,13 @@ def _beta_density(a, b):
     lambda: mv.md_moments(mv.SpectralMeasure.beta(0.5, 0.5)),
     lambda: mv.md_moments(mv.SpectralMeasure.beta(0.3, 0.7)),
     lambda: mv.SpectralMeasure.angular(_beta_density(0.2, 0.3), mass=1.0),
+    # the engine extrapolating a density that is infinite at 0 and 2*pi
+    lambda: mv.md_moments(mv.SpectralMeasure.angular(_beta_density(0.5, 0.5), mass=1.0)),
     lambda: mv.discretize_angular(
         mv.SpectralMeasure.angular(_beta_density(0.2, 0.3), mass=1.0),
         mv.default_grid(1)),
 ], ids=["md-beta-2-5", "md-beta-0.05-0.05", "md-beta-0.5-0.5", "md-beta-0.3-0.7",
-        "angular-0.2-0.3", "cells-0.2-0.3-k1"])
+        "angular-0.2-0.3", "md-generic-0.5-0.5", "cells-0.2-0.3-k1"])
 def test_no_integration_warning_escapes(run):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
