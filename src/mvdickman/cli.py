@@ -17,15 +17,23 @@ from .errors import (ConfigurationError, QuadratureError, UnsupportedMeasureErro
                      ValidationError)
 from .harness import (_fmt, emit_plot_data, experiment_from_file,
                       rows_to_csv, run_experiment)
-from .measures import spectral_from_json, spectral_to_json
+from .measures import SpectralMeasure, spectral_from_json, spectral_to_json
 from .moments import md_moments
 from .samplers import generate_batch
 from .verify import run_verification
 
 
-def _load_model(path) -> dict:
+def _load_model(path) -> SpectralMeasure:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return spectral_from_json(json.load(fh))
+
+
+def _emit(text: str, out) -> None:
+    """Write ``text`` to the file ``out``, or to standard output if it is None."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8", newline="\n")
+    else:
+        sys.stdout.write(text)
 
 
 def _moments_json(summary) -> str:
@@ -41,39 +49,23 @@ def _moments_json(summary) -> str:
 
 
 def _cmd_moments(args) -> int:
-    sigma = spectral_from_json(_load_model(args.model))
-    text = _moments_json(md_moments(sigma))
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(_moments_json(md_moments(_load_model(args.model))) + "\n", args.out)
     return 0
 
 
 def _cmd_discretize(args) -> int:
-    sigma = spectral_from_json(_load_model(args.model))
-    sigma_k = discretize_angular(sigma, default_grid(args.k, args.representatives))
-    doc = spectral_to_json(sigma_k)
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    sigma_k = discretize_angular(_load_model(args.model),
+                                 default_grid(args.k, args.representatives))
+    _emit(json.dumps(spectral_to_json(sigma_k), indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_sample(args) -> int:
-    sigma = spectral_from_json(_load_model(args.model))
-    batch = generate_batch(args.method, sigma, args.k, args.n, args.seed, args.gd_tol)
-    header = ",".join(f"x{j + 1}" for j in range(batch.dim))
-    lines = [header]
-    for row in batch.data:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    batch = generate_batch(args.method, _load_model(args.model), args.k, args.n,
+                           args.seed, args.gd_tol)
+    lines = [",".join(f"x{j + 1}" for j in range(batch.dim))]
+    lines += (",".join(_fmt(v) for v in row) for row in batch.data)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

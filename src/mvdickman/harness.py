@@ -3,9 +3,10 @@
 
 A run draws N replications per grid cell, estimates the five bivariate
 moments, and records the root-sum-of-squares deviation E_k from the analytic
-truth. Cells own independent, reproducible RNG substreams, and so do the
-fixed-size row chunks that ``generate_batch`` splits a cell into, so reruns
-are byte-identical for any worker count and any number of chunk threads.
+truth. The model is parsed once, when the config is built, and every cell gets
+its measure with the config. Cells own independent, reproducible RNG substreams,
+and so do the fixed-size row chunks that ``generate_batch`` splits a cell into,
+so reruns are byte-identical for any worker count and any number of chunk threads.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, ValidationError
-from .measures import _check_count, _check_real, _is_int, model_label, spectral_from_json
+from .measures import (FINITE, SpectralMeasure, _check_count, _check_real, _is_int,
+                       model_label, spectral_from_json)
 from .moments import MomentSummary, md_moments
 from .samplers import check_cell_work, generate_batch, series_terms
 from .stats import empirical_moments, error_metric
@@ -47,6 +49,9 @@ class ExperimentConfig:
     out: str | None = None
     seed_replicates: int = 1
     timing: bool = False
+    #: the measure ``model`` describes, built with the config; derived, so no
+    #: constructor argument, and not in ``to_json``, equality or repr
+    sigma: SpectralMeasure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.model, dict):
@@ -79,14 +84,14 @@ class ExperimentConfig:
                                 for m in methods), self.n_reps)  # the largest cells
         except ValidationError as exc:
             raise ConfigurationError(str(exc)) from exc
-        object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "k_grid", k_grid)
+        for name, value in (("methods", methods), ("k_grid", k_grid), ("sigma", sigma)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigurationError(f"a config document is a JSON object, got {doc!r}")
-        extra = set(doc) - set(cls.__dataclass_fields__)
+        extra = set(doc) - {f.name for f in fields(cls) if f.init}
         if extra:
             raise ConfigurationError(f"unknown config keys: {sorted(map(repr, extra))}")
         if "model" not in doc:
@@ -94,13 +99,9 @@ class ExperimentConfig:
         return cls(**doc)
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model, "methods": list(self.methods),
-            "k_grid": list(self.k_grid), "n_reps": self.n_reps,
-            "base_seed": int(self.base_seed), "gd_tol": self.gd_tol,
-            "out": self.out, "seed_replicates": self.seed_replicates,
-            "timing": self.timing,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {**doc, "methods": list(self.methods), "k_grid": list(self.k_grid),
+                "base_seed": int(self.base_seed)}
 
 
 # --------------------------------------------------------------------------
@@ -142,42 +143,29 @@ def _plan_cells(config: ExperimentConfig):
     DS against a finite-support model is exact, so its k sweep collapses to
     a single baseline cell recorded with k = 0.
     """
-    finite_model = config.model.get("variant") == "finite"
-    cells = []
-    index = 0
-    for method in config.methods:
-        ks = (0,) if (method == "DS" and finite_model) else config.k_grid
-        for k in ks:
-            for rep in range(config.seed_replicates):
-                cells.append((index, method, k, rep))
-                index += 1
-    return cells
+    finite_model = config.sigma.variant == FINITE
+    cells = [(method, k, rep) for method in config.methods
+             for k in ((0,) if method == "DS" and finite_model else config.k_grid)
+             for rep in range(config.seed_replicates)]
+    return [(index, *cell) for index, cell in enumerate(cells)]
 
 
-def run_cell(model_doc: dict, method: str, k: int, n_reps: int, seed: int,
-             gd_tol: float, timing: bool = False,
-             truth: MomentSummary | None = None) -> dict:
-    """Simulate one grid cell and reduce it to a CSV row dict.
-
-    ``truth`` is the model's ``md_moments``; it is computed here when not
-    given.
-    """
-    sigma = spectral_from_json(model_doc)
-    if truth is None:
-        truth = md_moments(sigma)
+def run_cell(config: ExperimentConfig, method: str, k: int, seed: int,
+             truth: MomentSummary) -> dict:
+    """Simulate one grid cell of ``config.sigma`` and reduce it to a CSV row
+    dict; ``truth`` is that measure's ``md_moments``."""
     t0 = time.perf_counter()
-    batch = generate_batch(method, sigma, k, n_reps, seed, gd_tol)
+    batch = generate_batch(method, config.sigma, k, config.n_reps, seed, config.gd_tol)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     emp = empirical_moments(batch)
-    report = error_metric(emp, truth)
     return {
-        "model": model_label(model_doc), "method": method, "k": batch.k,
-        "n_reps": n_reps, "seed": seed, "e_k": report.e_k,
+        "model": model_label(config.model), "method": method, "k": batch.k,
+        "n_reps": config.n_reps, "seed": seed, "e_k": error_metric(emp, truth).e_k,
         "xbar1": emp.m1, "xbar2": emp.m2,
         "s1sq": emp.var1, "s2sq": emp.var2, "s12": emp.cov12,
         "m1": truth.m1, "m2": truth.m2,
         "var1": truth.var1, "var2": truth.var2, "cov12": truth.cov12,
-        "runtime_ms": elapsed_ms if timing else 0.0,
+        "runtime_ms": elapsed_ms if config.timing else 0.0,
     }
 
 
@@ -196,12 +184,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[dict]:
     """
     if not (_is_int(workers) and workers >= 1):
         raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
-    cells = _plan_cells(config)
-    truth = md_moments(spectral_from_json(config.model))
-    todo = [(config.model, method, k, config.n_reps,
-             substream_seed(config.base_seed, index, rep),
-             config.gd_tol, config.timing, truth)
-            for index, method, k, rep in cells]
+    truth = md_moments(config.sigma)
+    todo = [(config, method, k, substream_seed(config.base_seed, index, rep), truth)
+            for index, method, k, rep in _plan_cells(config)]
     workers = min(workers, len(todo))
     if workers <= 1:
         rows = [run_cell(*args) for args in todo]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable
 
@@ -89,6 +89,12 @@ def _lock(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _rebuilt(obj):
+    """``__reduce__`` of a checked frozen dataclass: pickle its constructor
+    arguments, so loading checks and locks them again and drops any cache."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
 
 
 # a plain int or float passes on its type alone, which is several times faster
@@ -192,7 +198,7 @@ class _AtomSampler:
         r = len(cdf)
         m = self.buckets = 1 << (max(4 * r, min(64 * r, 1 << 16)) - 1).bit_length()
         # from each cut point's bucket, in O(m + r) (a search per edge took
-        # 0.3 ms at m = 2^14, and a table is built per cell): cdf * m is
+        # 0.3 ms at m = 2^14, and a table is built per measure): cdf * m is
         # exact, a cut point is <= b / m when ceil(cdf * m) <= b, and it lies
         # inside bucket floor(cdf * m) when cdf * m is not an integer
         scaled = cdf * m
@@ -224,6 +230,27 @@ class _AtomSampler:
                                  axis=1).T
 
 
+# the densities and angle sampler of ``SpectralMeasure.beta``, which binds
+# them to its shapes with ``partial``, so that a beta measure pickles
+
+def _beta_density(norm, a, b, x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        return norm * x ** (a - 1.0) * (TWO_PI - x) ** (b - 1.0)
+
+
+def _beta_log_density(norm, log_b, a, b, x):
+    from scipy.special import xlog1py, xlogy
+
+    u = np.asarray(x, dtype=float) / TWO_PI
+    with np.errstate(divide="ignore", over="ignore"):
+        return norm * np.exp(xlogy(a - 1.0, u) + xlog1py(b - 1.0, -u) - log_b)
+
+
+def _beta_angles(a, b, rng, n):
+    return TWO_PI * (rng.random(n) if a == b == 1.0 else rng.beta(a, b, n))
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """A finite measure sigma on the unit sphere S^{d-1}.
@@ -244,6 +271,12 @@ class SpectralMeasure:
     #: shapes (a, b) asserting that ``density`` is the Beta(a, b) density of
     #: ``beta``; discretization takes its cell masses from them in closed form
     beta_params: tuple[float, float] | None = field(default=None, compare=False)
+    #: the five integrals of ``density`` that ``angular`` took for its mass
+    #: check, for ``md_moments``; ``replace`` and pickling drop them
+    _density_integrals: np.ndarray | None = field(default=None, init=False,
+                                                  repr=False, compare=False)
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         _set = partial(object.__setattr__, self)
@@ -305,7 +338,8 @@ class SpectralMeasure:
         """
         from .moments import _gauss_legendre_integrals  # deferred: avoids import cycle
 
-        quad_mass = float(_gauss_legendre_integrals(density)[2:4, 0].sum())
+        values = _gauss_legendre_integrals(density)[:, 0]
+        quad_mass = float(values[2:4].sum())
         sigma = cls(variant=ANGULAR, dim=2, mass=quad_mass if mass is None else mass,
                     density=density, angle_sampler=angle_sampler)
         if not abs(quad_mass - sigma.mass) <= _MASS_CHECK_TOL:
@@ -313,6 +347,7 @@ class SpectralMeasure:
                 f"declared mass {mass} differs from quadrature mass {quad_mass}"
                 f" by more than {_MASS_CHECK_TOL}"
             )
+        object.__setattr__(sigma, "_density_integrals", _lock(values))
         return sigma
 
     @classmethod
@@ -337,7 +372,7 @@ class SpectralMeasure:
         other user of ``density`` sees it.
         """
         from scipy.special import beta as beta_fn
-        from scipy.special import betaln, xlog1py, xlogy
+        from scipy.special import betaln
 
         # the density is built from these, so they are checked here, first
         a, b = _check_real("beta parameters", a), _check_real("beta parameters", b)
@@ -345,28 +380,11 @@ class SpectralMeasure:
         power, beta_ab = TWO_PI ** (1.0 - a - b), beta_fn(a, b)
 
         if min(power, beta_ab) >= sys.float_info.min:
-            def density(x, _n=mass * power / beta_ab, _a=a, _b=b):
-                x = np.asarray(x, dtype=float)
-                with np.errstate(divide="ignore", over="ignore"):
-                    out = _n * x ** (_a - 1.0) * (TWO_PI - x) ** (_b - 1.0)
-                return out
+            density = partial(_beta_density, mass * power / beta_ab, a, b)
         else:
-            def density(x, _n=mass / TWO_PI, _log_b=betaln(a, b), _a=a, _b=b):
-                u = np.asarray(x, dtype=float) / TWO_PI
-                with np.errstate(divide="ignore", over="ignore"):
-                    out = _n * np.exp(xlogy(_a - 1.0, u) + xlog1py(_b - 1.0, -u)
-                                      - _log_b)
-                return out
-
-        if a == 1.0 and b == 1.0:
-            def angle_sampler(rng, n):
-                return TWO_PI * rng.random(n)
-        else:
-            def angle_sampler(rng, n, _a=a, _b=b):
-                return TWO_PI * rng.beta(_a, _b, n)
-
+            density = partial(_beta_log_density, mass / TWO_PI, betaln(a, b), a, b)
         return cls(variant=ANGULAR, dim=2, mass=mass, density=density,
-                   angle_sampler=angle_sampler, beta_params=(a, b))
+                   angle_sampler=partial(_beta_angles, a, b), beta_params=(a, b))
 
     # -- behaviour ---------------------------------------------------------
 

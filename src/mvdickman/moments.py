@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import QuadratureError, UnsupportedMeasureError, ValidationError
 from .measures import (_MASS_CHECK_TOL, FINITE, TWO_PI, BDLM, LStarParams,
-                       SpectralMeasure, _check_real, _lock)
+                       SpectralMeasure, _check_real, _lock, _rebuilt)
 
 _SYM_TOL = 1e-12
 _QUAD_TOL = 1e-10
@@ -45,6 +45,8 @@ class MomentSummary:
 
     mean: np.ndarray
     cov: np.ndarray
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -316,7 +318,7 @@ def _integrals(sigma: SpectralMeasure):
     Exact sums for finite support. For an angular measure: on beta shapes
     with min(a, b) < 1, where the density is singular at an end, the
     Gauss-Jacobi rule of the shape; on any other density, beta or not,
-    ``_gauss_legendre_integrals``.
+    ``_gauss_legendre_integrals``, or those that ``SpectralMeasure.angular`` kept.
     The cos^2 and sin^2 integrals must add up to the mass within 1e-8, which
     catches a density that underflowed to 0. A beta model's integrals are
     then scaled by mass / (that sum), so that the rule normalizes the
@@ -327,6 +329,8 @@ def _integrals(sigma: SpectralMeasure):
         return _atom_sums(sigma.directions, sigma.masses)
     if sigma.beta_params is not None and min(sigma.beta_params) < 1.0:
         values = sigma.mass * _gauss_jacobi_integrals(*sigma.beta_params)
+    elif sigma._density_integrals is not None:
+        values = sigma._density_integrals
     else:
         values = _gauss_legendre_integrals(sigma.density)[:, 0]
     mass = values[2] + values[3]

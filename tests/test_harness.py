@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,6 +12,9 @@ from mvdickman.harness import CSV_COLUMNS, _plan_cells, run_cell
 
 BETA11 = {"variant": "beta", "alpha": 1.0, "beta": 1.0, "mass": 1.0}
 BETA25 = {"variant": "beta", "alpha": 2.0, "beta": 5.0}
+FINITE3 = {"variant": "finite", "atoms": [{"angle": 0.3, "mass": 0.2},
+                                          {"angle": 2.0, "mass": 0.5},
+                                          {"angle": 5.1, "mass": 0.3}]}
 
 
 def small_config(**kw):
@@ -107,10 +111,22 @@ class TestExperimentConfig:
         assert back == config
 
     def test_unknown_keys_rejected(self):
-        doc = small_config().to_json()
-        doc["typo"] = 1
-        with pytest.raises(ConfigurationError):
-            mv.ExperimentConfig.from_json(doc)
+        # "sigma" is the derived measure, a field but no setting
+        for key in ("typo", "sigma"):
+            doc = small_config().to_json()
+            doc[key] = 1
+            with pytest.raises(ConfigurationError, match="unknown config keys"):
+                mv.ExperimentConfig.from_json(doc)
+
+    def test_measure_is_derived_not_a_setting(self):
+        config = small_config(model=BETA25)
+        assert config.sigma.beta_params == (2.0, 5.0)
+        assert "sigma" not in config.to_json() and "sigma" not in repr(config)
+        assert config == small_config(model=BETA25)  # each holds its own measure
+        with pytest.raises(TypeError):
+            mv.ExperimentConfig(model=BETA25, sigma=config.sigma)
+        changed = dataclasses.replace(config, model=FINITE3)
+        assert changed.sigma.variant == "finite" and len(changed.sigma.masses) == 3
 
 
 class TestPlanning:
@@ -206,9 +222,10 @@ class TestRunExperiment:
 
     def test_truth_computed_once_per_experiment(self, monkeypatch):
         config = small_config(model=BETA25, methods=("SN", "TA", "DS"), k_grid=(1, 4))
+        truth = mv.md_moments(mv.SpectralMeasure.beta(2.0, 5.0))
         per_cell = mv.rows_to_csv([
-            run_cell(config.model, method, k, config.n_reps,
-                     mv.substream_seed(config.base_seed, index, rep), config.gd_tol)
+            run_cell(config, method, k, mv.substream_seed(config.base_seed, index, rep),
+                     truth)
             for index, method, k, rep in _plan_cells(config)])
         calls = []
         md_moments = mv.harness.md_moments
@@ -217,6 +234,39 @@ class TestRunExperiment:
         assert mv.rows_to_csv(mv.run_experiment(config, workers=1)) == per_cell
         assert len(calls) == 1
         assert mv.rows_to_csv(mv.run_experiment(config, workers=2)) == per_cell
+
+    @pytest.mark.parametrize("model", [BETA25, FINITE3], ids=["beta", "finite"])
+    def test_sweep_parses_its_model_once(self, monkeypatch, model):
+        # the config parsed the model; the cells share its measure, so a
+        # finite model builds one guide table for all of its SN and TA cells
+        config = small_config(model=model, methods=("SN", "TA", "DS"), k_grid=(1, 4))
+        counts = dict.fromkeys(("parse", "truth", "table"), 0)
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        parse = mv.measures.spectral_from_json
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mvdickman") and getattr(module, "spectral_from_json",
+                                                        None) is parse:
+                monkeypatch.setattr(module, "spectral_from_json", counted("parse", parse))
+        monkeypatch.setattr("mvdickman.harness.md_moments",
+                            counted("truth", mv.harness.md_moments))
+
+        class Table(mv.measures._AtomSampler):
+            def __init__(self, *args):
+                counts["table"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr("mvdickman.measures._AtomSampler", Table)
+        serial = mv.rows_to_csv(mv.run_experiment(config, workers=1))
+        finite = model is FINITE3
+        assert counts == {"parse": 0, "truth": 1, "table": int(finite)}
+        assert serial.count("\n") == 1 + 2 * 2 + (1 if finite else 2)
+        assert mv.rows_to_csv(mv.run_experiment(config, workers=2)) == serial
 
     def test_timing_populates_runtime(self):
         rows = mv.run_experiment(small_config(k_grid=(2,), methods=("SN",),

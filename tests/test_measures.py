@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -355,6 +356,55 @@ class TestJson:
             assert "," not in mv.model_label(doc)
         assert mv.model_label(finite) == "finite(r=50)"
         assert mv.model_label(beta) == "beta(2;5)"
+
+
+#: one document per branch of ``spectral_from_json``: atoms, the beta density
+#: with its beta sampler, the uniform sampler of (1, 1), and the log-space
+#: density above a + b = 386.4
+PICKLED_MODELS = {
+    "finite": {"variant": "finite", "atoms": [{"angle": 0.3, "mass": 0.2},
+                                              {"angle": 2.0, "mass": 0.5},
+                                              {"angle": 5.1, "mass": 0.3}]},
+    "beta-2-5": {"variant": "beta", "alpha": 2.0, "beta": 5.0},
+    "uniform": {"variant": "beta", "alpha": 1.0, "beta": 1.0, "mass": 2.0},
+    "log-space": {"variant": "beta", "alpha": 200.0, "beta": 190.0},
+}
+
+
+class TestPickle:
+    """A pickled measure or moment summary is rebuilt by its constructor."""
+
+    @pytest.mark.parametrize("name", sorted(PICKLED_MODELS))
+    def test_measure_round_trip_keeps_bits_and_locks(self, name):
+        sigma = mv.spectral_from_json(PICKLED_MODELS[name])
+        sigma.sample_directions(np.random.default_rng(1), 10)  # a finite one caches its table
+        back = pickle.loads(pickle.dumps(sigma))
+        assert "_atom_sampler" not in back.__dict__
+        for rows in (None, np.array([0, 5, 999])):
+            assert np.array_equal(
+                sigma.sample_directions(np.random.default_rng(7), 1000, rows),
+                back.sample_directions(np.random.default_rng(7), 1000, rows))
+        if sigma.variant == "finite":
+            for a in (back.directions, back.masses):
+                assert not a.flags.writeable
+        else:
+            x = np.linspace(0.0, 2.0 * np.pi, 257)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert np.array_equal(sigma.density(x), back.density(x), equal_nan=True)
+            assert (back.mass, back.beta_params) == (sigma.mass, sigma.beta_params)
+
+    def test_pickle_leaves_the_guide_table_out(self):
+        sigma = mv.evenly_spaced_spectral(200)
+        bare = len(pickle.dumps(sigma))
+        sigma.sample_directions(np.random.default_rng(1), 10)
+        assert "_atom_sampler" in sigma.__dict__
+        assert len(pickle.dumps(sigma)) == bare < 16 * 1024
+
+    def test_moment_summary_round_trip_is_locked(self):
+        truth = mv.md_moments(mv.spectral_from_json(PICKLED_MODELS["beta-2-5"]))
+        back = pickle.loads(pickle.dumps(truth))
+        assert np.array_equal(back.mean, truth.mean) and np.array_equal(back.cov, truth.cov)
+        assert not (back.mean.flags.writeable or back.cov.flags.writeable)
 
 
 class TestBDLM:

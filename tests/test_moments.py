@@ -288,6 +288,19 @@ class TestBoundedWork:
         assert not info.value.achieved <= 1e-10
         assert peak <= 2 * 2 ** 20
 
+    def test_angular_measure_integrates_once(self):
+        # its mass check and md_moments once ran the engine twice: 5328 nodes
+        wrapped, nodes = _counting_density(mv.SpectralMeasure.beta(0.5, 0.5))
+        sigma = mv.SpectralMeasure.angular(wrapped.density)
+        truth = mv.md_moments(sigma)
+        assert nodes[0] == 2664
+        # a replaced density is integrated anew, to the same bits
+        again, more = _counting_density(sigma)
+        assert again._density_integrals is None
+        same = mv.md_moments(again)
+        assert (nodes[0], more[0]) == (2 * 2664, 2664)
+        assert np.array_equal(same.mean, truth.mean) and np.array_equal(same.cov, truth.cov)
+
 
 def _tail_mass_quadrature(radius, weight, alpha, eps):
     """Independent oracle: the defining radial integral, per atom."""
