@@ -70,12 +70,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = experiment_from_file(args.config, seed_override=args.seed,
-                                  out_override=args.out)
-    if args.timing:
-        from dataclasses import replace
-
-        config = replace(config, timing=True)
+    config = experiment_from_file(args.config, base_seed=args.seed, out=args.out,
+                                  timing=args.timing or None)
     rows = run_experiment(config, workers=args.workers)
     if config.out is None:
         sys.stdout.write(rows_to_csv(rows))

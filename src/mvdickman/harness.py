@@ -15,7 +15,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigurationError, ValidationError
@@ -267,14 +267,12 @@ def emit_plot_data(rows: list[dict], group_by: str, out_dir,
     return paths
 
 
-def experiment_from_file(path, seed_override: int | None = None,
-                         out_override: str | None = None) -> ExperimentConfig:
-    """Load an ExperimentConfig from a JSON file, applying CLI overrides."""
+def experiment_from_file(path, **overrides) -> ExperimentConfig:
+    """Load an ExperimentConfig from a JSON file; each override that is not
+    None (a config key, as the CLI's ``base_seed``, ``out`` and ``timing``)
+    replaces the file's value before the one build of the config."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    config = ExperimentConfig.from_json(doc)
-    if seed_override is not None:
-        config = replace(config, base_seed=seed_override)
-    if out_override is not None:
-        config = replace(config, out=out_override)
-    return config
+    if isinstance(doc, dict):
+        doc.update((key, value) for key, value in overrides.items() if value is not None)
+    return ExperimentConfig.from_json(doc)

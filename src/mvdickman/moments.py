@@ -227,8 +227,10 @@ def _gauss_legendre_integrals(density, cuts=(0.0, TWO_PI),
     others are halved, an end piece at 0 or 2*pi into the end and a ring (a
     graded mesh: Schwab, p- and hp-FEM, 1998, ch. 3); at a singularity like
     d^(s-1) the rings shrink by a factor rho, and ``_end_tail`` extrapolates
-    their sums. The summed estimate of the closed pieces must be <= tol, or
-    QuadratureError is raised; so it is past ``_MAX_ROUNDS`` rounds or
+    their sums. The end at 2*pi closes as it is once its outer half would
+    have a node on 2*pi, where a density may be infinite, so its estimate
+    stays finite. The summed estimate of the closed pieces must be <= tol,
+    or QuadratureError is raised; so it is past ``_MAX_ROUNDS`` rounds or
     ``_MAX_OPEN`` open pieces beyond the first ones.
     """
     nodes, weights = _legendre_pair()
@@ -265,6 +267,10 @@ def _gauss_legendre_integrals(density, cuts=(0.0, TWO_PI),
                     if tail is not None:
                         value[:, end], est[end] = tail
                         close[end] = True
+                # the outer half's nodes would round onto 2 pi, where a density
+                # may be infinite: the end closes on its last finite estimate
+                h = 0.5 * width[end]
+                close[end] |= end == -1 and lo[end] + h + h * nodes.max() >= TWO_PI
                 if close[end]:
                     del ends[end, ring]
         closed = np.flatnonzero(close)

@@ -47,8 +47,8 @@ so SN at alpha = 1 and TA take (b, 2, n) blocks (``_atom_series``): row
 [t, 0] holds term t's weight uniforms and row [t, 1] its direction
 uniforms. A block takes one pass for its weights and one guide-table lookup
 (``_AtomSampler.indices``) for its directions; then each term gathers its
-atoms into the (d, n) buffer and is added in term order. This is chosen
-when the direction sampler is a finite SpectralMeasure's
+atoms into the (d, n) buffer and is added in term order. ``_directions``,
+which reads every sampler, picks this for a finite SpectralMeasure's
 ``sample_directions`` or a ``BDLM.from_atoms`` sampler. SN's weights there
 never rise and fall geometrically (E log w_i = -i / (T*theta)), so from
 about term 38 * T*theta on, ``_atom_series`` retires the rows whose sum no
@@ -60,7 +60,7 @@ one term at a time, as angles are below, ran 1.08x slower at k = 200 and
 its lookups then take a term each. Every other case runs ``_series``, one
 term at a time: beta angles, as ``rng.beta`` takes a variable number of
 stream values; SN at alpha != 1, whose exponentials are drawn by ziggurat;
-and ``BDLM.from_sampler`` samplers, whose draws are unknown.
+and ``BDLM.from_sampler`` samplers, whose draws ``_directions`` checks.
 
 DS sums one GD series per atom, and each atom keeps its few long (b, n)
 block calls. Where the atom's mass theta is under about 0.0069, as on most
@@ -210,8 +210,8 @@ class LevyPathSkeleton:
         drift = _real_array("drift", self.drift).reshape(-1)
         times = _real_array("times", self.times).reshape(-1)
         jumps = np.atleast_2d(_real_array("jumps", self.jumps))
-        if jumps.shape[0] != len(times):
-            raise ValidationError("times and jumps must have equal length")
+        if jumps.shape != (len(times), len(drift)):
+            raise ValidationError("jumps must hold one drift-sized vector per event time")
         if len(times) and (times.min() < 0.0 or times.max() > self.horizon):
             raise ValidationError("event times must lie in [0, T]")
         if len(times) > 1 and not np.all(np.diff(times) > 0):
@@ -409,24 +409,32 @@ def _atom_series(weigh, terms, atoms, rng, out, settle=None):
     return out
 
 
-def _measure_behind(draw):
-    """The SpectralMeasure whose ``sample_directions`` the direction sampler
-    ``draw`` is, or None."""
-    sigma = getattr(draw, "__self__", None)
+def _directions(sampler, d):
+    """(atoms, draw, on_circle) for ``sampler(rng, m)``, a sampler of m
+    d-vectors. ``atoms`` is the ``_AtomSampler`` of a ``BDLM.from_atoms``
+    sampler or of a finite SpectralMeasure's ``sample_directions``, else
+    None. ``draw`` is the package's sampler itself, so its stream and spans
+    are kept; any other is wrapped to read its draws by ``_real_array`` as
+    m rows of d values. ``on_circle``: an angular measure's
+    ``sample_directions``, the one sampler that takes ``rows``."""
+    sigma = getattr(sampler, "__self__", None)
     if (isinstance(sigma, SpectralMeasure)
-            and getattr(draw, "__name__", None) == "sample_directions"):
-        return sigma
-    return None
-
-
-def _atoms_behind(draw):
-    """The ``_AtomSampler`` that the direction sampler ``draw`` runs, or None:
-    ``draw`` itself (``BDLM.from_atoms``), or the guide table of a finite
-    SpectralMeasure's ``sample_directions``."""
-    if isinstance(draw, _AtomSampler):
-        return draw
-    sigma = _measure_behind(draw)
-    return sigma._atom_sampler if sigma is not None and sigma.variant == FINITE else None
+            and getattr(sampler, "__name__", None) == "sample_directions"):
+        finite = sigma.variant == FINITE
+        atoms, dim = (sigma._atom_sampler if finite else None), sigma.dim
+    elif isinstance(sampler, _AtomSampler):
+        atoms, dim, finite = sampler, len(sampler.columns), True
+    else:
+        def draw(rng, m):
+            y = _real_array("direction draws", sampler(rng, m))
+            if y.shape[:1] != (m,) or y.size != m * d:
+                raise ValidationError(f"direction draws must be {m} vectors of "
+                                      f"dimension {d}, got shape {y.shape}")
+            return y.reshape(m, d)
+        return None, draw, False
+    if dim != d:
+        raise ValidationError(f"direction draws have dimension {dim}, expected {d}")
+    return atoms, sampler, not finite
 
 
 def _epoch_weights(g, alpha, t_theta, out):
@@ -550,18 +558,18 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
     _check_count("k", k)
     _check_count("n", n)
     T = _check_real("T", T)
-    t_theta, draw = T * params.bdlm.theta, params.bdlm.base_sampler
-    out = np.empty((params.dim, n))
+    t_theta = T * params.bdlm.theta
+    atoms, draw, on_circle = _directions(params.bdlm.base_sampler, params.dim)
+    out, settle = np.empty((params.dim, n)), math.ceil(_SETTLE_TERMS * t_theta)
     out[...] = (T * params.gamma)[:, None]
-    atoms, settle = _atoms_behind(draw), math.ceil(_SETTLE_TERMS * t_theta)
     if params.alpha != 1.0:
         weigh = _epoch_weigher(params.alpha, t_theta, n)
         out = _series(weigh, rng.standard_exponential, k, draw, rng, out)
     elif atoms is not None:
         out = _atom_series(_unit_sn_weigher(t_theta, n), k, atoms, rng, out, settle)
-    else:  # an angular measure's draws (atoms went above) skip absorbed summands
+    else:  # an angular measure's draws skip absorbed summands
         out = _series(_unit_sn_weigher(t_theta, n), rng.random, k, draw, rng, out,
-                      settle if _measure_behind(draw) is not None else None)
+                      settle if on_circle else None)
     return np.ascontiguousarray(out.T)
 
 
@@ -576,11 +584,12 @@ def sample_levy_path(params: LStarParams, T: float, k: int,
     T = _check_real("T", T)
     _check_count("k", k)
     bdlm = params.bdlm
+    _, draw, _ = _directions(bdlm.base_sampler, bdlm.dim)
     if k == 0:
         return LevyPathSkeleton(T, params.gamma, np.empty(0), np.empty((0, bdlm.dim)))
     g = np.cumsum(rng.standard_exponential(k))
     w = _epoch_weights(g, params.alpha, T * bdlm.theta, g)
-    y = bdlm.base_sampler(rng, k)
+    y = draw(rng, k)
     times = T * rng.random(k)
     order = np.argsort(times, kind="stable")
     return LevyPathSkeleton(T, params.gamma, times[order], w[order, None] * y[order])
@@ -612,26 +621,22 @@ def sample_ta_batch(alpha: float, nu0_sampler, c: float, n: int, n_reps: int,
 
     Parameters
     ----------
-    nu0_sampler : callable(rng, size) -> (size, d) array
+    nu0_sampler : callable(rng, size) -> size real d-vectors, as a (size, d)
+        array or nested lists; a first draw of size 1 gives d
     n : sharpness of the power weights (the tuning parameter)
     """
     _check_count("n_reps", n_reps)
     terms = ta_term_count(alpha, c, n)
-    d = np.atleast_2d(np.asarray(nu0_sampler(rng, 1), dtype=float)).shape[1]  # probe draw
-    out, atoms = np.zeros((d, n_reps)), _atoms_behind(nu0_sampler)
-    weigh = lambda u: _ta_weigh(u, alpha, float(n))
+    d = np.atleast_2d(_real_array("direction draws", nu0_sampler(rng, 1))).shape[1]  # probe draw
+    atoms, draw, on_circle = _directions(nu0_sampler, d)
+    out, weigh = np.zeros((d, n_reps)), lambda u: _ta_weigh(u, alpha, float(n))
     if atoms is not None:
         out = _atom_series(weigh, terms, atoms, rng, out)
-    elif _measure_behind(nu0_sampler) is not None:
+    else:
         # angular directions: from sharpness 2 * 55 log 2 on, under about half
         # of a term's lanes are live, and checking every term pays
-        settle = 1 if n >= 2.0 * _SETTLE_TERMS else None
-        out = _series(weigh, rng.random, terms, nu0_sampler, rng, out, settle)
-    else:
-        def draw(rng, m):
-            return np.asarray(nu0_sampler(rng, m), dtype=float).reshape(m, d)
-
-        out = _series(weigh, rng.random, terms, draw, rng, out)
+        settle = 1 if on_circle and n >= 2.0 * _SETTLE_TERMS else None
+        out = _series(weigh, rng.random, terms, draw, rng, out, settle)
     return np.ascontiguousarray(out.T)
 
 

@@ -231,6 +231,17 @@ class TestBetaCellMasses:
         with pytest.raises(QuadratureError):
             mv.discretize_angular(dataclasses.replace(sigma, beta_params=None), grid)
 
+    # the end at 2*pi closes before its nodes round onto 2*pi, where this
+    # density is infinite, so the error it reports is a number, not NaN
+    @pytest.mark.parametrize("k", [7, 50])
+    def test_unresolved_end_reports_a_finite_error(self, k):
+        density = mv.SpectralMeasure.beta(0.05, 0.05).density
+        sigma = mv.SpectralMeasure(variant="angular", dim=2, mass=1.0, density=density)
+        with pytest.raises(QuadratureError) as info:
+            mv.discretize_angular(sigma, mv.default_grid(k))
+        assert math.isfinite(info.value.achieved) and info.value.achieved > 1e-10
+        assert "nan" not in str(info.value)
+
     @pytest.mark.parametrize("inner", [[], [np.pi]])
     def test_end_cuts_count_as_exactly_zero_and_two_pi(self, inner):
         # the grid accepts end cuts up to 1e-15 and 1e-12 off; beta(0.05, 0.05)

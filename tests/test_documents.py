@@ -413,6 +413,24 @@ ARRAY_ARGS = {
 }
 
 
+#: ``LevyPathSkeleton`` arguments whose entries are all real but whose
+#: shapes disagree: a 3-d jump on a 2-d drift, a 2-d jump on a 1-d drift,
+#: no events with jumps of the wrong width, and a time with no jump
+LEVY_SHAPES = {
+    "jump wider than drift": ([0.0, 0.0], [0.5], [[1.0, 2.0, 3.0]]),
+    "drift narrower than jump": ([0.0], [0.5], [[1.0, 2.0]]),
+    "no events, wrong width": ([0.0, 0.0], [], np.empty((0, 3))),
+    "time without jump": ([0.0], [0.5], np.empty((0, 1))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LEVY_SHAPES))
+def test_levy_skeleton_shapes_must_agree(entry):
+    drift, times, jumps = LEVY_SHAPES[entry]
+    with pytest.raises(ValidationError):
+        mv.LevyPathSkeleton(1.0, drift, times, jumps)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", sorted(ARRAY_ARGS))
 @pytest.mark.parametrize("value", [True, False, "1", "0.5", None, {"a": 1}, 1j],

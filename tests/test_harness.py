@@ -434,6 +434,35 @@ class TestCli:
                                            "out": None})))
         assert text == direct
 
+    @pytest.mark.parametrize("timing", [False, True], ids=["plain", "timing"])
+    def test_experiment_overrides_parse_the_model_once(self, tmp_path, capsys,
+                                                       monkeypatch, timing):
+        # --seed, --out and --timing go into the document before the one
+        # build of the config, so the model is parsed once, not once per flag
+        from mvdickman import harness
+        from mvdickman.cli import main
+
+        parses = []
+        parse = harness.spectral_from_json
+        monkeypatch.setattr(harness, "spectral_from_json",
+                            lambda doc: parses.append(doc) or parse(doc))
+        config = dict(model=BETA11, methods=["SN"], k_grid=[1, 2],
+                      n_reps=500, base_seed=1)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "rows.csv"
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "99"] + ["--timing"] * timing) == 0
+        assert len(parses) == 1
+        monkeypatch.undo()
+        direct = mv.rows_to_csv(mv.run_experiment(
+            mv.ExperimentConfig.from_json({**config, "base_seed": 99, "out": None})))
+        lines, want = out.read_text().splitlines(), direct.splitlines()
+        if timing:  # runtime_ms, the last column, is the only one timing sets
+            assert all(float(row.rsplit(",", 1)[1]) > 0.0 for row in lines[1:])
+            lines, want = ([row.rsplit(",", 1)[0] for row in rows] for rows in (lines, want))
+        assert lines == want
+
     def test_experiment_stdout_and_plot_data(self, tmp_path, capsys):
         from mvdickman.cli import main
 

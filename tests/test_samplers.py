@@ -246,6 +246,81 @@ class TestSampledSphereMeasure:
         assert np.all(np.abs(x.mean(axis=0)) <= 5 * se)
 
 
+def _plain(sigma):
+    """A plain function around ``sigma.sample_directions``: a sampler the
+    package does not know, so its series take the checked per-term loop."""
+    return lambda rng, n: sigma.sample_directions(rng, n)
+
+
+def _listed(rng, n):
+    return _sphere_sampler(rng, n).tolist()
+
+
+#: samplers meant for 2-vectors that do not return n real 2-vectors: wider
+#: after the first draw (TA takes d from its probe draw of size 1); a row
+#: too many; transposed; numeric strings and bools, as lists and as arrays
+_BAD_SAMPLERS = {
+    "wide": lambda rng, n: np.ones((n, 2 if n == 1 else 3)),
+    "extra-row": lambda rng, n: np.ones((n + 1, 2)),
+    "transposed": lambda rng, n: np.ones((2, n)),
+    "strings": lambda rng, n: [["0.5", "0.5"]] * n,
+    "string-array": lambda rng, n: np.full((n, 2), "0.5"),
+    "bools": lambda rng, n: np.ones((n, 2), dtype=bool),
+    "bool-lists": lambda rng, n: [[True, False]] * n,
+}
+
+
+class TestSamplerDraws:
+    """SN, TA and the Levy path read a sampler's draws the same way: n real
+    d-vectors, as an (n, d) array or as nested lists; anything else raises
+    ValidationError in all three."""
+
+    @staticmethod
+    def _params(sampler, dim):
+        return mv.LStarParams(alpha=1.0, bdlm=mv.BDLM.from_sampler(1.5, dim, sampler))
+
+    @pytest.mark.parametrize("run", ["SN", "TA", "path"])
+    def test_lists_are_read_as_arrays(self, run):
+        def draw(sampler, rng):
+            if run == "SN":
+                return mv.sample_sn_batch(self._params(sampler, 3), 20, 50, rng)
+            if run == "TA":
+                return mv.sample_ta_batch(1.0, sampler, 1.5, 20, 50, rng)
+            path = mv.sample_levy_path(self._params(sampler, 3), 2.0, 20, rng)
+            return np.column_stack((path.times, path.jumps))
+
+        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        np.testing.assert_array_equal(draw(_listed, a), draw(_sphere_sampler, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("run", ["SN", "SN-alpha2", "TA", "path"])
+    @pytest.mark.parametrize("bad", sorted(_BAD_SAMPLERS))
+    def test_bad_draws_raise(self, run, bad):
+        sampler, rng = _BAD_SAMPLERS[bad], np.random.default_rng(32)
+        with pytest.raises(ValidationError, match="^direction draws"):
+            if run == "TA":
+                mv.sample_ta_batch(1.0, sampler, 1.5, 20, 5, rng)
+            elif run == "path":
+                mv.sample_levy_path(self._params(sampler, 2), 1.0, 5, rng)
+            else:
+                params = mv.LStarParams(alpha=2.0 if run == "SN-alpha2" else 1.0,
+                                        bdlm=mv.BDLM.from_sampler(1.5, 2, sampler))
+                mv.sample_sn_batch(params, 20, 5, rng)
+
+    @pytest.mark.parametrize("run", ["SN", "path"])
+    @pytest.mark.parametrize("model", ["beta", "finite", "atoms"])
+    def test_package_sampler_of_another_dimension_raises(self, run, model):
+        sampler = {"beta": mv.SpectralMeasure.beta(2.0, 5.0).sample_directions,
+                   "finite": mv.evenly_spaced_spectral(5).sample_directions,
+                   "atoms": _ATOM_MODELS["finite"].base_sampler}[model]
+        params, rng = self._params(sampler, 3), np.random.default_rng(33)
+        with pytest.raises(ValidationError, match="dimension 2, expected 3"):
+            if run == "SN":
+                mv.sample_sn_batch(params, 20, 5, rng)
+            else:
+                mv.sample_levy_path(params, 1.0, 5, rng)
+
+
 # Per-term loops of the samplers before they shared one series kernel; the
 # kernel must reproduce their draws, their order and their arithmetic.
 
@@ -401,7 +476,7 @@ class TestStreamsPinned:
 
     # the first cases under their original ids; then the finite models, whose
     # SN at alpha = 1 and TA take the block path, at sizes and term counts
-    # that leave a short last block
+    # that leave a short last block; then the two models behind ``_plain``
     @pytest.mark.parametrize("bdlm, alpha, T, k, n", [
         pytest.param(mv.md_from_spectral(sigma).bdlm, alpha, T, 37, 1001,
                      id=f"{alpha}-{T}-{model}")
@@ -409,7 +484,10 @@ class TestStreamsPinned:
         for alpha, T in [(1.0, 1.0), (1.0, 1.5), (2.0, 1.0), (0.6, 0.7)]] + [
         pytest.param(bdlm, 1.0, 1.5, k, n, id=f"{model}-k{k}-n{n}")
         for model, bdlm in _ATOM_MODELS.items() for n in _ATOM_SIZES
-        for k in _SN_TERMS])
+        for k in _SN_TERMS] + [
+        pytest.param(mv.BDLM.from_sampler(sigma.mass, 2, _plain(sigma)), alpha, 1.5, 200,
+                     1001, id=f"plain-{alpha}-{model}")
+        for model, sigma in MODELS.items() for alpha in (1.0, 0.6)])
     def test_sn(self, bdlm, alpha, T, k, n):
         gamma = [0.1, -0.2, 0.3][:bdlm.dim]
         params = mv.LStarParams(alpha=alpha, bdlm=bdlm, gamma=gamma)
@@ -533,7 +611,9 @@ class TestStreamsPinned:
         # (1 - V)^n is masked from sharpness 163 on, where e^(-750 / n) > 1%
         pytest.param(_ATOM_MODELS["r200"].base_sampler, alpha, sharpness, 8192,
                      id=f"r200-{alpha}-{sharpness}-n8192")
-        for alpha, sharpness in [(1.0, 162), (1.0, 163), (1.0, 400), (0.5, 400)]])
+        for alpha, sharpness in [(1.0, 162), (1.0, 163), (1.0, 400), (0.5, 400)]] + [
+        pytest.param(_plain(sigma), 1.0, 200, 1001, id=f"plain-{model}")
+        for model, sigma in MODELS.items()])
     def test_ta(self, draw, alpha, sharpness, n):
         self._same(lambda r: mv.sample_ta_batch(alpha, draw, 1.3, sharpness, n, r),
                    lambda r: _loop_ta(alpha, draw, 1.3, sharpness, n, r), 12)
