@@ -181,19 +181,12 @@ class _AtomSampler:
     (n, d) transpose of a C-ordered (d, n) array. ``indices`` is the lookup
     alone, for uniforms the caller drew. A call with ``rows`` draws all n
     uniforms and looks up only those rows.
-
-    ``bound`` is the (d, 1) column 2^55 * max_j |points[j, c]|, +inf where
-    that overflows: a sum that a weight w times it cannot reach in any
-    coordinate absorbs every later draw weighted by at most w (see
-    ``samplers._atom_series``).
     """
 
     def __init__(self, points, weights, total):
         cdf = (weights / total).cumsum()
         cdf /= cdf[-1]
         self.columns = np.ascontiguousarray(np.transpose(points))
-        with np.errstate(over="ignore"):
-            self.bound = np.ldexp(np.abs(self.columns).max(axis=1, keepdims=True), 55)
         self.cdf = cdf
         r = len(cdf)
         m = self.buckets = 1 << (max(4 * r, min(64 * r, 1 << 16)) - 1).bit_length()
@@ -510,13 +503,23 @@ def spectral_from_json(doc: dict) -> SpectralMeasure:
 
 
 def model_label(doc: dict) -> str:
-    """Short comma-free label for a model document, used in CSV output."""
+    """Short comma-free label for a model document, used in CSV output. Its
+    fields are read as ``spectral_from_json`` reads them, so a document that
+    is not a dict, a beta document without numeric shapes or a finite one
+    whose atoms are not a list raises ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a model document must be a dict, got {doc!r}")
     if doc.get("variant") == "beta":
-        a, b, m = doc["alpha"], doc["beta"], doc.get("mass", 1.0)
+        where = "beta spectral measure"
+        a, b = _number(doc, "alpha", where), _number(doc, "beta", where)
+        m = _number(doc, "mass", where, 1.0)
         base = f"beta({a:g};{b:g})"
         return base if m == 1.0 else f"beta({a:g};{b:g};mass={m:g})"
     if doc.get("variant") == "finite":
-        return f"finite(r={len(doc.get('atoms', []))})"
+        atoms = doc.get("atoms", [])
+        if not isinstance(atoms, (list, tuple)):
+            raise ValidationError(f"finite spectral measure needs an 'atoms' list, got {atoms!r}")
+        return f"finite(r={len(atoms)})"
     return str(doc.get("variant", "model"))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import QuadratureError, UnsupportedMeasureError, ValidationError
 from .measures import (_MASS_CHECK_TOL, FINITE, TWO_PI, BDLM, LStarParams,
-                       SpectralMeasure, _check_real, _lock, _rebuilt)
+                       SpectralMeasure, _check_real, _lock, _real_array, _rebuilt)
 
 _SYM_TOL = 1e-12
 _QUAD_TOL = 1e-10
@@ -41,7 +41,8 @@ OUTSIDE = "outside_unit_ball"
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Mean vector and covariance matrix, with d=2 scalar aliases."""
+    """Mean vector and covariance matrix, with d=2 scalar aliases. Their
+    entries are finite reals, and the covariance is d x d and symmetric."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -49,11 +50,13 @@ class MomentSummary:
     __reduce__ = _rebuilt
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
+        mean = _real_array("mean", self.mean).reshape(-1)
+        cov = _real_array("cov", self.cov)
         d = len(mean)
         if cov.shape != (d, d):
             raise ValidationError(f"cov must be {d}x{d}, got {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValidationError("mean and cov must be finite")
         if not np.all(np.abs(cov - cov.T) <= _SYM_TOL):
             raise ValidationError("covariance matrix must be symmetric to 1e-12")
         if np.any(np.diag(cov) < -_SYM_TOL):

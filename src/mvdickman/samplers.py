@@ -39,8 +39,9 @@ TA and DS add each term into a (d, n) buffer with one multiply and one add
 whose inner loops run over the n rows; only the returned (n, d) batch is
 C-ordered. And the end cells of a discretized beta model have masses down
 to about 1e-11, so U^(1/theta) underflows on most lanes, and pow spends
-about 135 ns on each to return +0; ``_uniform_powers`` keeps such lanes off
-pow's slow path, for GD and for TA's (1 - V)^n from sharpness 163 on.
+about 135 ns on each to return +0. ``_powers``, the one power kernel of
+GD, SN at alpha = 1 and TA's (1 - V)^n, writes +0 for the lanes below a cut
+without pow, and GD's screen below goes through it too.
 
 On a finite measure a term's weight and direction are both plain uniforms,
 so SN at alpha = 1 and TA take (b, 2, n) blocks (``_atom_series``): row
@@ -118,14 +119,15 @@ from .measures import (FINITE, LStarParams, SpectralMeasure, _AtomSampler, _chec
 
 _DEFAULT_GD_TOL = 1e-12
 
-#: share of lanes whose power underflows above which ``_uniform_powers`` masks
-#: them. On a 2-vCPU AVX-512 Xeon with NumPy 2.4, pow spent about 135 ns on
-#: each such lane and the three mask calls about 1.4 ns a lane, so the two
-#: cost the same near 1%.
+#: share of lanes below its cut above which ``_powers`` masks them. On a
+#: 2-vCPU AVX-512 Xeon with NumPy 2.4, pow spent about 135 ns on each lane
+#: whose power underflows and the three mask calls about 1.4 ns a lane, so
+#: the two cost the same near 1%.
 _UNDERFLOW_SWITCH = 1e-2
 
-#: the GD screen's cut above which ``sample_gd_batch`` screens its terms:
-#: under a quarter of the lanes are then raised to the power. Screening
+#: cut above which ``_powers`` gathers the lanes it raises, and the GD
+#: screen's cut above which ``sample_gd_batch`` screens its terms: under a
+#: quarter of the lanes are then raised to the power. Screening
 #: every atom of a beta(2,5) DS chunk at k = 20, where most masses are above
 #: this, more than doubled its time (8.4 to 19.4 ms, one thread).
 _SCREEN_SWITCH = 0.75
@@ -155,16 +157,12 @@ _BLOCK = 1 << 16
 #: from sharpness 2 * 55 log 2 on, where under about half the lanes are live.
 _SETTLE_TERMS = 55.0 * math.log(2.0)
 
-#: 2^56: ``_series`` skips a lane's summand w * Y, Y a direction on the unit
-#: circle, when fl(2^56 * w) < |o_c| in every coordinate c of the lane's sum
-#: o. That is the absorption proof's 2^55 with a margin of 2, so the proof
-#: holds for |cos| and |sin| up to 2, whatever libm returns.
-_ANGLE_BOUND = 2.0 ** 56
-
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """N approximate draws with the method, k, n_reps and seed that made them."""
+    """N approximate draws with the method, k, n_reps and seed that made them.
+    ``data`` is an (n_reps, d) array of finite reals, or an (n_reps,) one,
+    read as d = 1."""
 
     data: np.ndarray
     method: str
@@ -173,7 +171,10 @@ class SampleBatch:
     seed: int
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = _real_array("sample data", self.data)
+        if data.ndim not in (1, 2):
+            raise ValidationError(f"sample data must be a 1-D or 2-D array, got shape "
+                                  f"{data.shape}")
         if data.ndim == 1:
             data = data[:, None]
         if self.method not in ("SN", "TA", "DS"):
@@ -316,7 +317,7 @@ def _uniform_blocks(terms, shape, rng):
         yield rng.random(out=block[:terms - start])
 
 
-def _series(weigh, variates, terms, draw, rng, out, settle=None):
+def _series(weigh, variates, terms, draw, rng, out, bound=None, settle=1):
     """Add the first ``terms`` terms w_i * Y_i to the (d, n) array ``out`` and
     return it. Per term, the weigher ``weigh`` turns the variates
     ``variates(out=<(1, n) buffer>)`` into w_i; then the (n, d) array
@@ -325,26 +326,28 @@ def _series(weigh, variates, terms, draw, rng, out, settle=None):
     sampler may return a shared array.
 
     A ``draw`` that takes ``rows`` (an angular SpectralMeasure's
-    ``sample_directions``, whose draws have |Y_c| <= 1) may pass ``settle``:
-    from term ``settle`` (counted from 1) on, each term first finds the
-    lanes (columns o of the sum) with fl(``_ANGLE_BOUND`` * w) < |o_c| in
-    every coordinate c. Those lanes absorb the term: its summand
-    d = fl(w * Y_c) has |d| <= 2 w < 2^-55 |o_c|, so o_c + d rounds to o_c,
-    by the proof in ``_atom_series`` applied to this one term, which needs no
-    weight order. The term is drawn with ``draw(rng, n, rows=live)`` for the
-    other lanes, so the stream is kept but only the live rows are mapped to
-    directions, multiplied and added. ``rows`` goes by keyword, as a wrapped
-    sampler may take ``(sigma, rng, n)`` positionally."""
+    ``sample_directions``, whose draws have |Y_c| <= 1) may pass its
+    ``bound`` from ``_directions``, 2^56: from term ``settle`` (counted from
+    1) on, each term first finds the lanes (columns o of the sum) with
+    fl(bound * w) < |o_c| in every coordinate c. Those lanes absorb the
+    term: its summand d = fl(w * Y_c) has |d| <= 2 w < 2^-55 |o_c| (a
+    margin of 2 over |Y_c| <= 1, whatever libm returns for cos and sin), so
+    o_c + d rounds to o_c, by the proof in ``_atom_series`` applied to this
+    one term, which needs no weight order. The term is drawn with
+    ``draw(rng, n, rows=live)`` for the other lanes, so the stream is kept
+    but only the live rows are mapped to directions, multiplied and added.
+    ``rows`` goes by keyword, as a wrapped sampler may take
+    ``(sigma, rng, n)`` positionally."""
     buf, v = np.empty_like(out), np.empty((1, out.shape[1]))
-    if settle is not None:
+    if bound is not None:
         reach, absorbed = np.empty(out.shape[1]), np.empty(out.shape, dtype=bool)
         live = np.empty(out.shape[1], dtype=bool)
     for i in range(1, terms + 1):
         for w in weigh(variates(out=v)):
-            if settle is None or i < settle:
+            if bound is None or i < settle:
                 out += np.multiply(draw(rng, len(w)).T, w, out=buf)
                 continue
-            np.less(np.multiply(w, _ANGLE_BOUND, out=reach), np.abs(out, out=buf),
+            np.less(np.multiply(w, bound, out=reach), np.abs(out, out=buf),
                     out=absorbed)
             rows = np.flatnonzero(np.logical_not(absorbed.all(axis=0, out=live), out=live))
             y = np.multiply(draw(rng, len(w), rows=rows).T, w.take(rows))
@@ -353,20 +356,21 @@ def _series(weigh, variates, terms, draw, rng, out, settle=None):
     return out
 
 
-def _atom_series(weigh, terms, atoms, rng, out, settle=None):
+def _atom_series(weigh, terms, atoms, rng, out, bound=None, settle=1):
     """``_series`` for uniform weight variates and directions from the
     ``_AtomSampler`` ``atoms``, a (b, 2, n) block of terms at a time: row
     [t, 0] holds term t's weight uniforms, row [t, 1] its direction uniforms.
     One lookup maps a block's direction uniforms to atoms, and each term
     gathers its atoms into one (d, n) buffer.
 
-    Weights that never rise pass ``settle``: from that term on, lanes are
-    checked at each block end but the last. A lane (a column o of the sum) whose last weight w has
-    fl(B_c * w) < |o_c| in every coordinate c, with B = ``atoms.bound``, is
-    retired: its uniforms are still drawn, so the stream is kept, but they
-    are no longer weighed, looked up or added, as no later term could change
-    a bit of it. Proof: rounding is monotone and |o_c| is a float, so
-    B_c * w < |o_c| exactly and B_c = 2^55 M_c is finite, M_c = max |y_c|.
+    Weights that never rise pass the atoms' ``bound`` B from
+    ``_directions``: from term ``settle`` on, lanes are checked at each
+    block end but the last. A lane (a column o of the sum) whose last weight
+    w has fl(B_c * w) < |o_c| in every coordinate c is retired: its
+    uniforms are still drawn, so the stream is kept, but they are no longer
+    weighed, looked up or added, as no later term could change a bit of it.
+    Proof: rounding is monotone and |o_c| is a float, so B_c * w < |o_c|
+    exactly and B_c = 2^55 M_c is finite, M_c = max |y_c|.
     A later summand d = fl(w' * y_c) has w' <= w, so
     |w' * y_c| <= w * M_c < 2^-55 |o_c| < 2^(e-54), with
     2^e <= |o_c| < 2^(e+1). If 2^(e-54) is a float, |d| <= 2^(e-54): under
@@ -393,10 +397,10 @@ def _atom_series(weigh, terms, atoms, rng, out, settle=None):
             # the indices are in range; "clip" lets take write y unbuffered
             atoms.columns.take(i, axis=1, out=y, mode="clip")
             o += np.multiply(y, w, out=y)
-        if settle is None or not settle <= done < terms:
+        if bound is None or not settle <= done < terms:
             continue
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which stays live
-            settled = np.less(np.multiply(atoms.bound, w, out=y), np.abs(o)).all(axis=0)
+            settled = np.less(np.multiply(bound, w, out=y), np.abs(o)).all(axis=0)
         if 2 * np.count_nonzero(settled) >= len(settled):
             keep = np.flatnonzero(~settled)
             if lanes is not None:
@@ -410,13 +414,16 @@ def _atom_series(weigh, terms, atoms, rng, out, settle=None):
 
 
 def _directions(sampler, d):
-    """(atoms, draw, on_circle) for ``sampler(rng, m)``, a sampler of m
+    """(atoms, draw, bound) for ``sampler(rng, m)``, a sampler of m
     d-vectors. ``atoms`` is the ``_AtomSampler`` of a ``BDLM.from_atoms``
     sampler or of a finite SpectralMeasure's ``sample_directions``, else
     None. ``draw`` is the package's sampler itself, so its stream and spans
     are kept; any other is wrapped to read its draws by ``_real_array`` as
-    m rows of d values. ``on_circle``: an angular measure's
-    ``sample_directions``, the one sampler that takes ``rows``."""
+    m rows of d values, and has no ``bound``. ``bound`` is the absorption
+    bound of the draws (see ``_atom_series`` and ``_series``): for atoms
+    the (d, 1) column 2^55 * max_j |y_jc|, +inf where that overflows; for
+    an angular measure's ``sample_directions``, the one sampler that takes
+    ``rows``, 2^55 * 2, as its draws lie on the unit circle."""
     sigma = getattr(sampler, "__self__", None)
     if (isinstance(sigma, SpectralMeasure)
             and getattr(sampler, "__name__", None) == "sample_directions"):
@@ -431,10 +438,13 @@ def _directions(sampler, d):
                 raise ValidationError(f"direction draws must be {m} vectors of "
                                       f"dimension {d}, got shape {y.shape}")
             return y.reshape(m, d)
-        return None, draw, False
+        return None, draw, None
     if dim != d:
         raise ValidationError(f"direction draws have dimension {dim}, expected {d}")
-    return atoms, sampler, not finite
+    if not finite:
+        return None, sampler, 2.0 ** 56
+    with np.errstate(over="ignore"):
+        return atoms, sampler, np.ldexp(np.abs(atoms.columns).max(axis=1, keepdims=True), 55)
 
 
 def _epoch_weights(g, alpha, t_theta, out):
@@ -444,19 +454,28 @@ def _epoch_weights(g, alpha, t_theta, out):
     return np.exp(np.negative(out, out=out), out=out)
 
 
-def _uniform_powers(u, power, low):
-    """Raise the uniforms ``u`` to ``power`` in place and return them; ``low``
-    is a bool scratch array of u's shape.
+def _powers(u, power, cut):
+    """Raise the uniforms ``u`` to ``power`` in place, write +0 wherever
+    U < ``cut``, and return them.
 
-    For U < cut = exp(-750 / power) the exact U^power is below e^-750 <
-    2^-1082, under half the smallest subnormal, so pow rounds it to +0 (a
-    test checks that the installed pow does). Once cut, the share of such
-    lanes, passes ``_UNDERFLOW_SWITCH``, they are set to 1 before the power
-    and to 1 - 1 = +0 after it: the same bits, on pow's fast path. The
-    power 0 of an infinite T * theta underflows nowhere."""
-    cut = math.exp(-750.0 / power) if power else 0.0
-    if cut > _UNDERFLOW_SWITCH:
-        np.less(u, cut, out=low)
+    The underflow cut exp(-750 / power) keeps the bits of ``u ** power``:
+    below it the exact U^power is below e^-750 < 2^-1082, under half the
+    smallest subnormal, so pow rounds it to +0 (a test checks that the
+    installed pow does). A higher cut is GD's screen (see
+    ``sample_gd_batch``) and must pass ``_SCREEN_SWITCH``. The cut, the
+    share of uniform lanes below it, picks the method, and all three give
+    the same bits: above ``_SCREEN_SWITCH`` only the lanes at or above cut
+    are gathered, raised and put back; above ``_UNDERFLOW_SWITCH`` the low
+    lanes are set to 1 before the power and to 1 - 1 = +0 after it, on
+    pow's fast path; otherwise every lane is raised."""
+    if cut > _SCREEN_SWITCH:
+        live = np.flatnonzero(u >= cut)
+        p = u.take(live)
+        p **= power
+        u.fill(0.0)
+        u.put(live, p)
+    elif cut > _UNDERFLOW_SWITCH:
+        low = u < cut
         np.maximum(u, low, out=u)
         u **= power
         np.subtract(u, low, out=u)
@@ -473,19 +492,6 @@ def _screen_cut(power):
     return 2.0 ** (-60.0 / power) - 2.0 ** -50
 
 
-def _screened_powers(u, power, cut):
-    """Raise the uniforms ``u`` to ``power`` in place where U >= ``cut``,
-    write +0 where U < cut, and return them: the GD screen (see
-    ``sample_gd_batch``). One pass finds the lanes to raise, and only those
-    are gathered, raised and put back."""
-    live = np.flatnonzero(u >= cut)
-    p = u.take(live)
-    p **= power
-    u.fill(0.0)
-    u.put(live, p)
-    return u
-
-
 def _unit_sn_weigher(t_theta, n, screen=False):
     """The weigher that turns an (m, n) block of uniforms U, in place, into
     the alpha = 1 shot-noise weights of the next m terms, yielded in one (n,)
@@ -494,24 +500,24 @@ def _unit_sn_weigher(t_theta, n, screen=False):
     rises. A block of m < n lanes is weighed on the first m lanes of the
     state (see ``_atom_series``).
 
-    ``screen`` is for GD alone (see ``sample_gd_batch``): where the cut
-    ``_screen_cut`` passes ``_SCREEN_SWITCH``, every term after the first is
-    raised by ``_screened_powers``, whose zeros stand for weights that no
-    later sum can see."""
+    ``_powers`` raises each term at the underflow cut. ``screen`` is for GD
+    alone (see ``sample_gd_batch``): where the cut ``_screen_cut`` passes
+    ``_SCREEN_SWITCH``, it is the cut of every term after the first, whose
+    zeros then stand for weights that no later sum can see."""
     w, power = np.ones(n), 1.0 / t_theta
-    cut = _screen_cut(power) if screen else 0.0
-    plain = 1 if cut > _SCREEN_SWITCH else math.inf  # terms left to raise in full
+    cut = math.exp(-750.0 / power) if power else 0.0  # an infinite T * theta underflows nowhere
+    later = _screen_cut(power) if screen else 0.0
+    later = later if later > _SCREEN_SWITCH else cut
 
     def weigh(u):
         # row by row: np.multiply.accumulate and np.add.accumulate along
         # axis 0 of a (6, 8192) block took ten times as long
-        nonlocal plain
-        live, m = w[:u.shape[1]], min(len(u), plain)
-        plain -= m
-        if m:
-            _uniform_powers(u[:m], power, np.empty((m, u.shape[1]), dtype=bool))
-        if m < len(u):
-            _screened_powers(u[m:], power, cut)
+        nonlocal cut
+        rest, live = u, w[:u.shape[1]]
+        if cut != later:  # the first term has a cut of its own
+            _powers(u[:1], power, cut)
+            rest, cut = u[1:], later
+        _powers(rest, power, cut)
         for row in u:
             yield np.multiply(live, row, out=live)
     return weigh
@@ -533,13 +539,13 @@ def _epoch_weigher(alpha, t_theta, n):
 def _ta_weigh(u, alpha, npow):
     """Turn the uniforms ``u`` (V), in place, into the triangular-array
     weights (1 - V^(1/alpha))^npow, and return them. The last power goes
-    through ``_uniform_powers``: from sharpness 163 on, the lanes with
-    1 - V^(1/alpha) < e^(-750 / npow) are over 1% and kept off pow's slow
-    path."""
+    through ``_powers`` at the underflow cut e^(-750 / npow), which keeps
+    the lanes below it off pow's slow path from sharpness 163 on, where
+    they are over 1%."""
     if alpha != 1.0:  # u **= 1.0 would copy u onto itself
         u **= 1.0 / alpha
     np.subtract(1.0, u, out=u)
-    return _uniform_powers(u, npow, np.empty(u.shape, dtype=bool))
+    return _powers(u, npow, math.exp(-750.0 / npow))
 
 
 # --------------------------------------------------------------------------
@@ -559,17 +565,17 @@ def sample_sn_batch(params: LStarParams, k: int, n: int,
     _check_count("n", n)
     T = _check_real("T", T)
     t_theta = T * params.bdlm.theta
-    atoms, draw, on_circle = _directions(params.bdlm.base_sampler, params.dim)
+    atoms, draw, bound = _directions(params.bdlm.base_sampler, params.dim)
     out, settle = np.empty((params.dim, n)), math.ceil(_SETTLE_TERMS * t_theta)
     out[...] = (T * params.gamma)[:, None]
     if params.alpha != 1.0:
         weigh = _epoch_weigher(params.alpha, t_theta, n)
         out = _series(weigh, rng.standard_exponential, k, draw, rng, out)
     elif atoms is not None:
-        out = _atom_series(_unit_sn_weigher(t_theta, n), k, atoms, rng, out, settle)
+        out = _atom_series(_unit_sn_weigher(t_theta, n), k, atoms, rng, out, bound, settle)
     else:  # an angular measure's draws skip absorbed summands
         out = _series(_unit_sn_weigher(t_theta, n), rng.random, k, draw, rng, out,
-                      settle if on_circle else None)
+                      bound, settle)
     return np.ascontiguousarray(out.T)
 
 
@@ -628,15 +634,15 @@ def sample_ta_batch(alpha: float, nu0_sampler, c: float, n: int, n_reps: int,
     _check_count("n_reps", n_reps)
     terms = ta_term_count(alpha, c, n)
     d = np.atleast_2d(_real_array("direction draws", nu0_sampler(rng, 1))).shape[1]  # probe draw
-    atoms, draw, on_circle = _directions(nu0_sampler, d)
+    atoms, draw, bound = _directions(nu0_sampler, d)
     out, weigh = np.zeros((d, n_reps)), lambda u: _ta_weigh(u, alpha, float(n))
     if atoms is not None:
         out = _atom_series(weigh, terms, atoms, rng, out)
     else:
         # angular directions: from sharpness 2 * 55 log 2 on, under about half
         # of a term's lanes are live, and checking every term pays
-        settle = 1 if on_circle and n >= 2.0 * _SETTLE_TERMS else None
-        out = _series(weigh, rng.random, terms, draw, rng, out, settle)
+        out = _series(weigh, rng.random, terms, draw, rng, out,
+                      bound if n >= 2.0 * _SETTLE_TERMS else None)
     return np.ascontiguousarray(out.T)
 
 
@@ -672,12 +678,15 @@ def fixed_point_map(x, w, u, theta: float):
     """The map (x, w, u) -> u^(1/theta) * (x + w) whose fixed point in law
     characterizes MD / Vervaat-perpetuity distributions.
 
-    Accepts vectors or (n, d) batches for x and w; u may be scalar or (n,).
+    Accepts vectors or (n, d) batches of reals for x and w, of one shape; u
+    may be a scalar, or (n,) for a batch.
     """
     theta = _check_real("theta", theta)
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x, w, u = _real_array("x", x), _real_array("w", w), _real_array("u", u)
+    if not (x.ndim in (1, 2) and w.shape == x.shape and u.shape in ((), x.shape[:-1])):
+        raise ValidationError(f"x and w must be vectors or (n, d) batches of one shape, "
+                              f"and u a scalar or (n,); got shapes {x.shape}, {w.shape} "
+                              f"and {u.shape}")
     if not ((u > 0.0) & (u < 1.0)).all():  # NaN fails too
         raise ValidationError("u must lie in (0, 1)")
     if not (np.isfinite(x).all() and np.isfinite(w).all()):

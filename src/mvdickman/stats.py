@@ -9,28 +9,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import FINITE, SpectralMeasure, _check_count, _check_real, _lock
+from .measures import (FINITE, SpectralMeasure, _check_count, _check_real, _is_real, _lock,
+                       _real_array)
 from .moments import MomentSummary
-from .samplers import fixed_point_map, sample_ds_batch
+from .samplers import SampleBatch, fixed_point_map, sample_ds_batch
 
 
-def _as_data(batch) -> np.ndarray:
-    data = getattr(batch, "data", batch)
-    data = np.asarray(data, dtype=float)
+def _observations(batch) -> np.ndarray:
+    """The (n, d) data of a SampleBatch, or ``batch`` itself read by
+    ``_real_array``, an (n,) array as d = 1; ValidationError unless it has
+    n >= 2 rows and d >= 1 columns of finite entries."""
+    # not getattr(batch, "data"): an ndarray's .data is its buffer
+    data = _real_array("observations", batch.data if isinstance(batch, SampleBatch) else batch)
     if data.ndim == 1:
         data = data[:, None]
+    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] < 1:
+        raise ValidationError(f"observations must be an (n, d) array with n >= 2 and "
+                              f"d >= 1, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValidationError("observations must be finite")
     return data
+
+
+def _check_size(name: str, value) -> float:
+    """``value`` as a float; ValidationError naming ``name`` unless it is a
+    finite real >= 0, not a bool."""
+    if not (_is_real(value) and 0.0 <= value < math.inf):
+        raise ValidationError(f"{name} must be a finite real >= 0, got {value!r}")
+    return float(value)
 
 
 def empirical_moments(batch) -> MomentSummary:
     """Sample mean vector and unbiased (N-1 denominator) covariance matrix.
 
-    Accepts a SampleBatch or a raw (n, d) array; n >= 2 required.
+    Accepts a SampleBatch or a raw (n, d) array of finite reals; n >= 2
+    required.
     """
-    data = _as_data(batch)
+    data = _observations(batch)
     n = data.shape[0]
-    if n < 2:
-        raise ValidationError("at least 2 observations are needed")
     mean = data.mean(axis=0)
     xc = data - mean
     cov = xc.T @ xc / (n - 1)
@@ -44,7 +60,8 @@ class ErrorReport:
 
     ``components`` holds the squared deviations (mean1, mean2, var1, var2,
     cov12) in that order; ``mc_floor`` is the estimated Monte Carlo noise
-    level of the metric at the batch size, when available.
+    level of the metric at the batch size, when available. Each is a
+    finite real >= 0.
     """
 
     e_k: float
@@ -52,11 +69,16 @@ class ErrorReport:
     mc_floor: float | None = None
 
     def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float).reshape(-1)
+        e_k = _check_size("e_k", self.e_k)
+        comp = _real_array("components", self.components).reshape(-1)
         if len(comp) != 5:
             raise ValidationError("components must hold the five squared deviations")
-        if abs(self.e_k ** 2 - comp.sum()) > 1e-12 * max(1.0, comp.sum()):
+        if not (np.isfinite(comp).all() and (comp >= 0.0).all()):
+            raise ValidationError(f"components must be finite and >= 0, got {comp}")
+        if abs(e_k ** 2 - comp.sum()) > 1e-12 * max(1.0, comp.sum()):
             raise ValidationError("e_k^2 must equal the sum of the components")
+        if self.mc_floor is not None:
+            object.__setattr__(self, "mc_floor", _check_size("mc_floor", self.mc_floor))
         object.__setattr__(self, "components", _lock(comp))
 
 
@@ -65,8 +87,8 @@ def error_metric(emp: MomentSummary, truth: MomentSummary,
     """E_k = sqrt((xbar1-m1)^2 + (xbar2-m2)^2 + (s1^2-var1)^2
                   + (s2^2-var2)^2 + (s12-cov12)^2), bivariate only.
 
-    ``mc_floor`` (see :func:`estimate_mc_floor`) is carried through for
-    reporting; it does not enter the metric.
+    ``mc_floor`` (see :func:`estimate_mc_floor`), None or a finite real
+    >= 0, is carried through for reporting; it does not enter the metric.
     """
     if emp.dim != 2 or truth.dim != 2:
         raise ValidationError("error metric is defined for d=2 summaries")
@@ -88,7 +110,7 @@ def estimate_mc_floor(batch) -> float:
     var(s_j^2) ~= (m4_j - s_j^4)/N, var(s12) ~= (m22 - s12^2)/N, all from
     empirical central moments. Reported for context, never asserted.
     """
-    data = _as_data(batch)
+    data = _observations(batch)
     if data.shape[1] != 2:
         raise ValidationError("mc floor estimate is defined for d=2 batches")
     return math.sqrt(sum(_moment_se_pieces(data).values()))

@@ -217,6 +217,7 @@ SIGMA3 = mv.evenly_spaced_spectral(3)
 GD1 = mv.gd_params(1.0)
 SN3 = mv.md_from_spectral(SIGMA3)
 BETA25 = {"variant": "beta", "alpha": 2.0, "beta": 5.0}
+_S2 = mv.MomentSummary([0.0, 0.0], np.eye(2))
 
 
 def _uniform(x):
@@ -235,6 +236,11 @@ def _count(least):
 def _real(high=math.inf):
     """The values a real in (0, ``high``) takes: numbers, not bools."""
     return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < high
+
+
+def _size(v):
+    """The values an optional size takes: None, or a real >= 0, not a bool."""
+    return v is None or _real()(v) or (v == 0 and not isinstance(v, bool))
 
 
 def _never(v):
@@ -301,6 +307,7 @@ SCALAR_ARGS = {
     "sample_ds_batch n_reps": (_count(0), lambda v: mv.sample_ds_batch(
         SIGMA3, 1e-12, v, _rng())),
     "fixed_point_map theta": (_real(), lambda v: mv.fixed_point_map([0.0], [1.0], 0.5, v)),
+    "error_metric mc_floor": (_size, lambda v: mv.error_metric(_S2, _S2, mc_floor=v).components),
     "SampleBatch k": (_count(0), lambda v: mv.SampleBatch(np.zeros((0, 2)), "SN", v, 0, 0).data),
     "SampleBatch n_reps": (_count(0), lambda v: mv.SampleBatch(
         np.zeros((0, 2)), "SN", 1, v, 0).data),
@@ -410,6 +417,24 @@ ARRAY_ARGS = {
         1.0, [0.0], [0.5], [[v]]).jumps,
     "LevyPathSkeleton jumps, mixed": lambda v: mv.LevyPathSkeleton(
         1.0, [0.0, 0.0], [0.5], [[1.0, v]]).jumps,
+    "SampleBatch data": lambda v: mv.SampleBatch([[v]], "SN", 1, 1, 0).data,
+    "SampleBatch data, mixed": lambda v: mv.SampleBatch([[1.0, v]], "SN", 1, 1, 0).data,
+    "MomentSummary mean": lambda v: mv.MomentSummary([v], [[1.0]]).mean,
+    "MomentSummary mean, mixed": lambda v: mv.MomentSummary([0.0, v], np.eye(2)).mean,
+    "MomentSummary cov": lambda v: mv.MomentSummary([0.0], [[v]]).cov,
+    "MomentSummary cov, mixed": lambda v: mv.MomentSummary(
+        [0.0, 0.0], [[1.0, 0.0], [0.0, v]]).cov,
+    "ErrorReport components": lambda v: mv.ErrorReport(math.sqrt(5.0), [v] * 5).components,
+    "ErrorReport components, mixed": lambda v: mv.ErrorReport(
+        math.sqrt(2.0), [1.0, v, 0.0, 0.0, 0.0]).components,
+    "empirical_moments": lambda v: mv.empirical_moments([v, v]).cov,
+    "empirical_moments, mixed": lambda v: mv.empirical_moments([[0.0, 1.0], [2.0, v]]).cov,
+    "estimate_mc_floor": lambda v: mv.estimate_mc_floor([[v, v], [v, v]]),
+    "estimate_mc_floor, mixed": lambda v: mv.estimate_mc_floor([[0.0, 1.0], [2.0, v]]),
+    "fixed_point_map x": lambda v: mv.fixed_point_map([v], [0.0], 0.5, 1.0),
+    "fixed_point_map x, mixed": lambda v: mv.fixed_point_map([0.0, v], [0.0, 0.0], 0.5, 1.0),
+    "fixed_point_map w": lambda v: mv.fixed_point_map([0.0], [v], 0.5, 1.0),
+    "fixed_point_map w, mixed": lambda v: mv.fixed_point_map([0.0, 0.0], [0.0, v], 0.5, 1.0),
 }
 
 
@@ -429,6 +454,62 @@ def test_levy_skeleton_shapes_must_agree(entry):
     drift, times, jumps = LEVY_SHAPES[entry]
     with pytest.raises(ValidationError):
         mv.LevyPathSkeleton(1.0, drift, times, jumps)
+
+
+#: results and stats readers given arrays whose entries are all real but
+#: whose shapes or values they refuse: more than two axes, too few rows,
+#: shapes that disagree, and entries that are not finite or not >= 0
+RESULT_ARRAYS = {
+    "SampleBatch 3-d data": lambda: mv.SampleBatch(np.zeros((2, 2, 2)), "SN", 1, 2, 0),
+    "MomentSummary nan mean": lambda: mv.MomentSummary([math.nan], [[1.0]]),
+    "MomentSummary infinite cov": lambda: mv.MomentSummary([0.0], [[math.inf]]),
+    "ErrorReport negative component": lambda: mv.ErrorReport(0.0, [1, -1, 0, 0, 0]),
+    "ErrorReport nan component": lambda: mv.ErrorReport(math.nan, [math.nan, 0, 0, 0, 0]),
+    "ErrorReport negative e_k": lambda: mv.ErrorReport(-1.0, [1.0, 0, 0, 0, 0]),
+    "error_metric str mc_floor": lambda: mv.error_metric(_S2, _S2, mc_floor="x"),
+    "error_metric negative mc_floor": lambda: mv.error_metric(_S2, _S2, mc_floor=-1.0),
+    "error_metric nan mc_floor": lambda: mv.error_metric(_S2, _S2, mc_floor=math.nan),
+    "error_metric bool mc_floor": lambda: mv.error_metric(_S2, _S2, mc_floor=True),
+    "empirical_moments 3-d": lambda: mv.empirical_moments(np.zeros((2, 3, 2))),
+    "empirical_moments infinite entry": lambda: mv.empirical_moments(
+        [[math.inf, 0.0], [1.0, 1.0]]),
+    "estimate_mc_floor one row": lambda: mv.estimate_mc_floor([[1.0, 2.0]]),
+    "estimate_mc_floor 3-d": lambda: mv.estimate_mc_floor(np.zeros((2, 2, 2))),
+    "fixed_point_map 3 u for 4 rows": lambda: mv.fixed_point_map(
+        np.zeros((4, 2)), np.zeros((4, 2)), [0.5] * 3, 1.0),
+    "fixed_point_map w wider than x": lambda: mv.fixed_point_map(
+        [0.0, 0.0], [1.0, 0.0, 0.0], 0.5, 1.0),
+    "fixed_point_map 3-d x": lambda: mv.fixed_point_map(
+        np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), 0.5, 1.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(RESULT_ARRAYS))
+def test_result_arrays_of_bad_shape_or_value_raise(entry):
+    with pytest.raises(ValidationError):
+        RESULT_ARRAYS[entry]()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", [["0.5"], [0.5, "0.5"], [0.5, 0.5j]],
+                         ids=["str", "str-mixed", "complex-mixed"])
+def test_fixed_point_map_u_entries_are_real(u):
+    x = np.zeros((len(u), 1))
+    with pytest.raises(ValidationError):
+        mv.fixed_point_map(x, x + 1.0, u, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(JSON, malformed_models()))
+@example(doc={"variant": "beta"})
+@example(doc=["x"])
+@example(doc={"variant": "finite", "atoms": 5})
+def test_any_model_document_labels_or_raises_validation_error(doc):
+    try:
+        assert isinstance(mv.model_label(doc), str)
+    except ValidationError:
+        pass
 
 
 @pytest.mark.filterwarnings("error")

@@ -357,6 +357,14 @@ class TestJson:
         assert mv.model_label(finite) == "finite(r=50)"
         assert mv.model_label(beta) == "beta(2;5)"
 
+    def test_model_label_reads_fields_as_the_parser_does(self):
+        doc = {"variant": "beta", "alpha": 2, "beta": 0.5, "mass": 2.5}
+        assert mv.model_label(doc) == "beta(2;0.5;mass=2.5)"
+        for bad in ({"variant": "beta"}, ["x"], {"variant": "beta", "alpha": "2", "beta": 5},
+                    {"variant": "finite", "atoms": 5}):
+            with pytest.raises(ValidationError):
+                mv.model_label(bad)
+
 
 #: one document per branch of ``spectral_from_json``: atoms, the beta density
 #: with its beta sampler, the uniform sampler of (1, 1), and the log-space

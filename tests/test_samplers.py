@@ -356,7 +356,7 @@ def _loop_gd(theta, tol, n, rng):
     return out
 
 
-#: the GD theta at which ``_uniform_powers`` starts to mask underflowing lanes
+#: the GD theta at which ``_powers`` starts to mask underflowing lanes
 _SWITCH_THETA = -math.log(mv.samplers._UNDERFLOW_SWITCH) / 750.0
 
 _GD_THETAS = {"1.0": 1.0, "0.005": 0.005, "3.7": 3.7, "2.0": 2.0, "0.5": 0.5,
@@ -639,17 +639,18 @@ class TestStreamsPinned:
 
     def test_gd_screens_small_masses(self, monkeypatch):
         # a guard: on the 200 equal atoms of mass 0.005 each atom's GD series
-        # has 5 terms, and every term after the first must go through the
-        # screen, which raises under a quarter of its uniforms
+        # has 5 terms, and every term after the first must be raised at the
+        # screen's cut, which raises under a quarter of its uniforms
         screened, raised = [], []
-        screen = mv.samplers._screened_powers
+        powers = mv.samplers._powers
 
         def count(u, power, cut):
-            screened.append(u.size)
-            raised.append(np.count_nonzero(u >= cut))
-            return screen(u, power, cut)
+            if cut == mv.samplers._screen_cut(power):
+                screened.append(u.size)
+                raised.append(np.count_nonzero(u >= cut))
+            return powers(u, power, cut)
 
-        monkeypatch.setattr(mv.samplers, "_screened_powers", count)
+        monkeypatch.setattr(mv.samplers, "_powers", count)
         sigma, n = mv.evenly_spaced_spectral(200), mv.samplers._CHUNK
         mv.sample_ds_batch(sigma, 1e-12, n, np.random.default_rng(30))
         terms = mv.samplers.series_terms("DS", sigma, 0, 1e-12)
@@ -702,7 +703,7 @@ class TestFiniteChunkMemory:
 
 
 class TestPowUnderflowPremise:
-    """``_uniform_powers`` replaces U^p by +0 for U < exp(-750 / p) without
+    """``_powers`` replaces U^p by +0 for U < exp(-750 / p) without
     computing it, for GD's p = 1 / theta and TA's sharpness p. That keeps
     the streams only if pow itself returns +0 there (not -0, not a
     subnormal); a NumPy or libm that did otherwise must fail here, not move
@@ -753,6 +754,75 @@ class TestGdScreenPremise:
         assert mv.samplers._screen_cut(1.0 / (1.001 * edge)) < mv.samplers._SCREEN_SWITCH
 
 
+#: (power, cut) pairs of ``_powers``: underflow cuts exp(-750 / power) of GD
+#: on either side of the mask switch, of TA at sharpness 163 and 400, and of
+#: a GD mass whose underflow cut passes the gather switch; cut 0; and power 1
+_UNDERFLOW_CUTS = {
+    "gd-0.003": (1.0 / 0.003, math.exp(-750.0 * 0.003)),
+    "gd-unmasked": (1.0 / (1.1 * _SWITCH_THETA), math.exp(-750.0 * 1.1 * _SWITCH_THETA)),
+    "ta-163": (163.0, math.exp(-750.0 / 163.0)),
+    "ta-400": (400.0, math.exp(-750.0 / 400.0)),
+    "gd-1e-4": (1e4, math.exp(-750.0 * 1e-4)),
+    "cut-0": (2.5, 0.0),
+    "power-1": (1.0, 0.0),
+}
+#: cuts above the underflow cut, which only gather and mask may be given:
+#: GD's screen at mass 0.005 and 1e-11, and power 1 with a cut of 1/2
+_HIGH_CUTS = {
+    "screen-0.005": (200.0, mv.samplers._screen_cut(200.0)),
+    "screen-1e-11": (1e11, mv.samplers._screen_cut(1e11)),
+    "power-1-cut-0.5": (1.0, 0.5),
+}
+
+
+class TestPowersKernelPremise:
+    """``_powers`` gathers, masks or raises every lane as its cut passes
+    ``_SCREEN_SWITCH``, ``_UNDERFLOW_SWITCH`` or neither. That keeps the
+    streams only if each method gives the bits of
+    ``np.where(u < cut, 0.0, u ** power)``, +0 included, on every block a
+    weigher passes it: a (b, n) block, the strided weight rows of a finite
+    series' (b, 2, n) block, the rest of either after its first term, and an
+    empty block. Each method is forced here by moving the two switches."""
+
+    SWITCHES = {"gather": (-1.0, -1.0), "mask": (2.0, -1.0), "plain": (2.0, 2.0)}
+    VIEWS = {"block": lambda b: b[:, 0].copy(), "block-rest": lambda b: b[:, 0].copy()[1:],
+             "strided": lambda b: b[:, 0], "strided-rest": lambda b: b[:, 0][1:],
+             "empty": lambda b: b[:0, 0], "row": lambda b: b[0, 0].copy()}
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("method", sorted(SWITCHES))
+    @pytest.mark.parametrize("power, cut", [
+        pytest.param(power, cut, id=key) for key, (power, cut) in _UNDERFLOW_CUTS.items()])
+    def test_each_method_gives_the_masked_power(self, monkeypatch, method, power, cut,
+                                                view):
+        self._check(monkeypatch, method, power, cut, view)
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("method", ["gather", "mask"])
+    @pytest.mark.parametrize("power, cut", [
+        pytest.param(power, cut, id=key) for key, (power, cut) in _HIGH_CUTS.items()])
+    def test_gather_and_mask_give_the_masked_power(self, monkeypatch, method, power, cut,
+                                                   view):
+        self._check(monkeypatch, method, power, cut, view)
+
+    def _check(self, monkeypatch, method, power, cut, view):
+        screen, underflow = self.SWITCHES[method]
+        monkeypatch.setattr(mv.samplers, "_SCREEN_SWITCH", screen)
+        monkeypatch.setattr(mv.samplers, "_UNDERFLOW_SWITCH", underflow)
+        # weight rows [:, 0] that lead with 0, the least subnormal, the floats
+        # around the cut and the float below 1, beside direction rows [:, 1]
+        block = np.random.default_rng(33).random((5, 2, 97))
+        block[:, 0, :6] = [0.0, 5e-324, np.nextafter(cut, 0.0), cut,
+                           np.nextafter(cut, 1.0), np.nextafter(1.0, 0.0)]
+        directions = block[:, 1].copy()
+        u = self.VIEWS[view](block)
+        want = np.where(u < cut, 0.0, u ** power)
+        assert mv.samplers._powers(u, power, cut) is u
+        np.testing.assert_array_equal(np.ascontiguousarray(u).view(np.uint64),
+                                      want.view(np.uint64))
+        np.testing.assert_array_equal(block[:, 1], directions)
+
+
 class TestSettledLanePremise:
     """``_atom_series`` retires a lane of the SN sum once each later summand
     d has |d| <= 2^(e-54), where 2^e <= |o| < 2^(e+1) for each coordinate o
@@ -783,8 +853,7 @@ class TestSettledLanePremise:
     def test_weights_never_rise(self, t_theta):
         u = np.concatenate([[np.nextafter(1.0, 0.0), 0.0, 5e-324],
                             np.random.default_rng(24).random(2000)])
-        p = mv.samplers._uniform_powers(u.copy(), 1.0 / t_theta,
-                                        np.empty(u.shape, dtype=bool))
+        p = mv.samplers._powers(u.copy(), 1.0 / t_theta, math.exp(-750.0 * t_theta))
         assert (p <= 1.0).all() and (p >= 0.0).all()
 
 
